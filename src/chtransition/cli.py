@@ -78,7 +78,6 @@ def _step_config(cfg: RunConfig) -> StepConfig:
         scheme=s.scheme,
         rhs=s.rhs,
         stabilization=s.stabilization,
-        dealias=s.dealias,
     )
 
 

@@ -221,7 +221,6 @@ class SimulateSettings:
     scheme: str = "imex1"
     rhs: str = "taylor"
     stabilization: float = 0.0
-    dealias: bool = True
     seed_amplitude: float = 1e-3
     band_limit: int = 4
     seed_modes: dict[Mode, float] | None = None
@@ -320,7 +319,6 @@ def load_config(path) -> RunConfig:
         scheme=sim.optional("scheme", _as_choice("imex1", "imex2"), "imex1"),
         rhs=sim.optional("rhs", _as_choice("taylor", "divergence"), "taylor"),
         stabilization=sim.optional("stabilization", _as_float, 0.0),
-        dealias=sim.optional("dealias", _as_bool, True),
         seed_amplitude=sim.optional("seed_amplitude", _as_float, 1e-3),
         band_limit=sim.optional("band_limit", _as_int, 4),
         seed_modes=sim.optional("seed_modes", _as_modes, None),

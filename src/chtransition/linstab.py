@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .params import DomainSpec, PhysicalParams, critical_temperature
-from .spectral import Mode, laplacian_eigenvalue
+from .spectral import Mode, SpectralGrid, laplacian_eigenvalue
 
 __all__ = [
     "CriticalSet",
@@ -36,39 +37,25 @@ class DegeneracyAmbiguityError(ValueError):
     the critical set cannot be trusted."""
 
 
-def growth_rate(K: Mode, T: float, p: PhysicalParams, d: DomainSpec) -> float:
-    """Linear growth rate of mode ``K`` at temperature ``T``."""
-    if T <= 0.0:
-        raise ValueError("temperature must be positive")
-    rho = laplacian_eigenvalue(K, d)
+def _growth_rates(rho, T: float, p: PhysicalParams):
+    """Growth rates at eigenvalue(s) ``rho``: a float or an array."""
     u = p.ubar
     return p.mobility.h0 * rho * (2.0 * p.gamma - p.R * T / (u * (1.0 - u)) - p.alpha * rho)
 
 
-def _mode_table(k_max: int) -> tuple[list[Mode], np.ndarray]:
-    """All modes with indices up to ``k_max`` (zero mode excluded) and their
-    squared-wavenumber triples for vectorised scans."""
-    modes: list[Mode] = []
-    for k1 in range(k_max + 1):
-        for k2 in range(k_max + 1):
-            for k3 in range(k_max + 1):
-                if k1 == k2 == k3 == 0:
-                    continue
-                modes.append((k1, k2, k3))
-    return modes, np.asarray(modes, dtype=float)
-
-
-def _rho_values(karr: np.ndarray, d: DomainSpec) -> np.ndarray:
-    lengths = np.asarray(d.lengths)
-    return ((karr * math.pi / lengths) ** 2).sum(axis=1)
+def growth_rate(K: Mode, T: float, p: PhysicalParams, d: DomainSpec) -> float:
+    """Linear growth rate of mode ``K`` at temperature ``T``."""
+    if T <= 0.0:
+        raise ValueError("temperature must be positive")
+    return _growth_rates(laplacian_eigenvalue(K, d), T, p)
 
 
 def _growth_rates_scan(T: float, p: PhysicalParams, d: DomainSpec, k_max: int):
-    modes, karr = _mode_table(k_max)
-    rho = _rho_values(karr, d)
-    u = p.ubar
-    beta = p.mobility.h0 * rho * (2.0 * p.gamma - p.R * T / (u * (1.0 - u)) - p.alpha * rho)
-    return modes, beta
+    """All modes with indices up to ``k_max`` (zero mode excluded) in
+    lexicographic order, and their growth rates."""
+    modes = list(product(range(k_max + 1), repeat=3))[1:]
+    rho = SpectralGrid((k_max + 1,) * 3, d).rho.ravel()[1:]
+    return modes, _growth_rates(rho, T, p)
 
 
 @dataclass(frozen=True)
@@ -191,12 +178,14 @@ def critical_temperature_bisect(
     d: DomainSpec,
     bracket: tuple[float, float] | None = None,
     k_max: int = 8,
-    tol: float = 1e-12,
+    tol: float = 0.0,
 ) -> float:
     """Locate the root of ``max_K beta_K(T)`` by bisection.
 
     Serves as an independent check of the closed-form critical temperature.
-    Raises ``ValueError`` when the bracket contains no sign change (in
+    ``tol`` is an absolute bracket width; the default 0 bisects to float
+    resolution, so the relative error stays at rounding level however small
+    the critical temperature is.  Raises ``ValueError`` when the bracket contains no sign change (in
     particular when no supercritical regime exists).
     """
     u = p.ubar
@@ -204,13 +193,10 @@ def critical_temperature_bisect(
         hi = 2.0 * p.gamma * u * (1.0 - u) / p.R  # all rates negative beyond this
         bracket = (1e-12 * hi, 1.01 * hi)
     lo, hi = bracket
-    _, karr = _mode_table(k_max)
-    rho = _rho_values(karr, d)
-    h0 = p.mobility.h0
+    rho = SpectralGrid((k_max + 1,) * 3, d).rho.ravel()[1:]
 
     def worst(T: float) -> float:
-        beta = h0 * rho * (2.0 * p.gamma - p.R * T / (u * (1.0 - u)) - p.alpha * rho)
-        return float(beta.max())
+        return float(_growth_rates(rho, T, p).max())
 
     f_lo, f_hi = worst(lo), worst(hi)
     if f_lo == 0.0:

@@ -21,24 +21,13 @@ rounding by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linstab import critical_set
 from .params import DomainSpec, PhysicalParams, derive_coefficients
-from .spectral import (
-    Mode,
-    SpectralField,
-    _analyze,
-    _divergence_coeffs,
-    _gradient_grids,
-    _pad_coeffs,
-    _synthesize,
-    _truncate_coeffs,
-    integrate_grid,
-)
+from .spectral import Mode, SpectralField, SpectralGrid, integrate_grid
 
 __all__ = [
     "StepConfig",
@@ -76,7 +65,6 @@ class StepConfig:
     scheme: str = "imex1"
     rhs: str = "taylor"
     stabilization: float = 0.0
-    dealias: bool = True
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
@@ -143,16 +131,6 @@ class SimResult:
         )
 
 
-def _rho_array(shape: tuple[int, int, int], d: DomainSpec) -> np.ndarray:
-    parts = [
-        (np.arange(n, dtype=float) * math.pi / L) ** 2
-        for n, L in zip(shape, d.lengths)
-    ]
-    return (
-        parts[0][:, None, None] + parts[1][None, :, None] + parts[2][None, None, :]
-    )
-
-
 def _mobility_grid(p: PhysicalParams, u_grid: np.ndarray, rhs: str) -> np.ndarray:
     mob = p.mobility
     if rhs == "divergence" and mob.profile is not None:
@@ -185,9 +163,8 @@ class Stepper:
         self.domain = state.domain
         self.T = state.T
         self.coeffs_b = derive_coefficients(state.params, state.T)
-        self.shape = cfg.grid
-        self.pad_shape = tuple(2 * n for n in cfg.grid) if cfg.dealias else cfg.grid
-        self.rho = _rho_array(self.shape, self.domain)
+        self.grid = SpectralGrid(cfg.grid, self.domain)
+        self.rho = self.grid.rho
         h_bar = _mean_mobility(state.params, cfg.rhs)
         self.beta = -h_bar * (
             state.params.alpha * self.rho**2 + self.coeffs_b.b1 * self.rho
@@ -209,57 +186,41 @@ class Stepper:
             return self._explicit_taylor(coeffs)
         return self._explicit_divergence(coeffs)
 
-    def _grids(self, coeffs: np.ndarray):
-        padded = _pad_coeffs(coeffs, self.pad_shape)
-        u_grid = _synthesize(padded)
-        return padded, u_grid
-
     def _explicit_taylor(self, coeffs: np.ndarray) -> np.ndarray:
-        p, b = self.params, self.coeffs_b
+        p, b, g = self.params, self.coeffs_b, self.grid
         mob = p.mobility
-        padded, u_grid = self._grids(coeffs)
-        u2_hat_pad = _analyze(u_grid * u_grid)
-        u3_hat = _truncate_coeffs(_analyze(u_grid * u_grid * u_grid), self.shape)
-        u2_hat = _truncate_coeffs(u2_hat_pad, self.shape)
+        u_grid = g.synthesize(coeffs)
+        u2_hat_pad = g.analyze(u_grid * u_grid)
+        u3_hat = g.truncated(g.analyze(u_grid * u_grid * u_grid))
+        u2_hat = g.truncated(u2_hat_pad)
 
         out = -mob.h0 * self.rho * (b.b2 * u2_hat + b.b3 * u3_hat)
 
         if mob.h1 != 0.0:
             # flux u * grad(alpha*Lap(u) - b1*u - b2*u^2)
-            v_pad = _pad_coeffs(
-                (-p.alpha * self.rho - b.b1) * coeffs, self.pad_shape
-            )
+            v_pad = g.padded((-p.alpha * self.rho - b.b1) * coeffs)
             v_pad -= b.b2 * u2_hat_pad
-            grads = _gradient_grids(v_pad, self.domain, self.pad_shape)
-            flux = [u_grid * g for g in grads]
-            out -= mob.h1 * _divergence_coeffs(flux, self.domain, self.shape)
+            flux = [u_grid * d for d in g.gradient(v_pad)]
+            out -= mob.h1 * g.divergence(flux)
 
         if mob.h2 != 0.0:
             # flux u^2 * grad(alpha*Lap(u) - b1*u)
-            w = (-p.alpha * self.rho - b.b1) * coeffs
-            grads = _gradient_grids(
-                _pad_coeffs(w, self.pad_shape), self.domain, self.pad_shape
-            )
+            grads = g.gradient((-p.alpha * self.rho - b.b1) * coeffs)
             u2_grid = u_grid * u_grid
-            flux = [u2_grid * g for g in grads]
-            out -= 0.5 * mob.h2 * _divergence_coeffs(flux, self.domain, self.shape)
+            flux = [u2_grid * d for d in grads]
+            out -= 0.5 * mob.h2 * g.divergence(flux)
 
         out[0, 0, 0] = 0.0
         return out
 
     def _explicit_divergence(self, coeffs: np.ndarray) -> np.ndarray:
-        p, b = self.params, self.coeffs_b
-        padded, u_grid = self._grids(coeffs)
+        p, b, g = self.params, self.coeffs_b, self.grid
+        u_grid = g.synthesize(coeffs)
         poly = b.b2 * u_grid * u_grid + b.b3 * u_grid * u_grid * u_grid
-        mu_hat = (p.alpha * self.rho + b.b1) * coeffs + _truncate_coeffs(
-            _analyze(poly), self.shape
-        )
-        grads = _gradient_grids(
-            _pad_coeffs(mu_hat, self.pad_shape), self.domain, self.pad_shape
-        )
+        mu_hat = (p.alpha * self.rho + b.b1) * coeffs + g.truncated(g.analyze(poly))
         h_grid = _mobility_grid(p, u_grid, "divergence")
-        flux = [h_grid * g for g in grads]
-        rhs = _divergence_coeffs(flux, self.domain, self.shape)
+        flux = [h_grid * d for d in g.gradient(mu_hat)]
+        rhs = g.divergence(flux)
         rhs[0, 0, 0] = 0.0
         return rhs - self.beta * coeffs
 
@@ -318,13 +279,21 @@ def simulate(
         track_modes = critical_set(s0.params, s0.domain).modes
     stepper = Stepper(s0, cfg)
     n_steps = max(1, int(round((t_end - s0.t) / cfg.dt)))
+    times: list[float] = []
+    mass: list[float] = []
+    energy: list[float] = []
+    dissip: list[float] = []
+    amps: dict[Mode, list[float]] = {K: [] for K in track_modes}
 
-    times = [s0.t]
-    mass = [s0.mass]
-    energy = [free_energy(s0)]
-    dissip = [dissipation(s0, rhs=cfg.rhs)]
-    amps: dict[Mode, list[float]] = {K: [s0.projection(K)] for K in track_modes}
+    def record(s: SimState) -> None:
+        times.append(s.t)
+        mass.append(s.mass)
+        energy.append(free_energy(s))
+        dissip.append(dissipation(s, rhs=cfg.rhs))
+        for K in track_modes:
+            amps[K].append(s.projection(K))
 
+    record(s0)
     state = s0
     converged = False
     steps_taken = 0
@@ -333,22 +302,12 @@ def simulate(
         state = stepper.step(state)
         steps_taken = n
         if n % record_every == 0 or n == n_steps:
-            times.append(state.t)
-            mass.append(state.mass)
-            energy.append(free_energy(state))
-            dissip.append(dissipation(state, rhs=cfg.rhs))
-            for K in track_modes:
-                amps[K].append(state.projection(K))
+            record(state)
         delta = float(np.linalg.norm(state.u.coeffs - prev)) / cfg.dt
         if delta < steady_tol * (1.0 + float(np.linalg.norm(state.u.coeffs))):
             converged = True
             if times[-1] != state.t:
-                times.append(state.t)
-                mass.append(state.mass)
-                energy.append(free_energy(state))
-                dissip.append(dissipation(state, rhs=cfg.rhs))
-                for K in track_modes:
-                    amps[K].append(state.projection(K))
+                record(state)
             break
     return SimResult(
         times=np.asarray(times),
@@ -367,40 +326,37 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def _padded_grid(state: SimState) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
-    shape = state.u.grid_shape
-    pad = tuple(2 * n for n in shape)
-    padded = _pad_coeffs(state.u.coeffs, pad)
-    return padded, _synthesize(padded), pad
-
-
 def free_energy(s: SimState) -> float:
     """Quartic free energy of the deviation field at the state's
     temperature, by spectral differentiation and exact midpoint quadrature."""
     b = derive_coefficients(s.params, s.T)
-    padded, u_grid, pad = _padded_grid(s)
-    grads = _gradient_grids(padded, s.domain, pad)
-    density = 0.5 * s.params.alpha * sum(g * g for g in grads)
+    g = SpectralGrid(s.u.grid_shape, s.domain)
+    padded = g.padded(s.u.coeffs)
+    u_grid = g.synthesize(padded)
+    density = 0.5 * s.params.alpha * sum(d * d for d in g.gradient(padded))
     density += (
         0.5 * b.b1 * u_grid**2 + b.b2 / 3.0 * u_grid**3 + 0.25 * b.b3 * u_grid**4
     )
     return integrate_grid(density, s.domain)
 
 
-def chemical_potential(s: SimState) -> SpectralField:
-    """Variational derivative of the free energy, truncated to the field's
-    band: ``-alpha*Lap(u) + b1*u + b2*u^2 + b3*u^3``."""
+def _potential(s: SimState, g: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Band coefficients of the chemical potential (zero mode dropped) and
+    the padded-grid samples of ``u`` used to form them."""
     b = derive_coefficients(s.params, s.T)
-    shape = s.u.grid_shape
-    rho = _rho_array(shape, s.domain)
-    _, u_grid, _ = _padded_grid(s)
+    u_grid = g.synthesize(s.u.coeffs)
     poly = b.b2 * u_grid * u_grid + b.b3 * u_grid**3
-    coeffs = (s.params.alpha * rho + b.b1) * s.u.coeffs + _truncate_coeffs(
-        _analyze(poly), shape
-    )
+    coeffs = (s.params.alpha * g.rho + b.b1) * s.u.coeffs + g.truncated(g.analyze(poly))
     # the polynomial part may carry a mean; the potential is defined up to a
     # constant, so drop it
     coeffs[0, 0, 0] = 0.0
+    return coeffs, u_grid
+
+
+def chemical_potential(s: SimState) -> SpectralField:
+    """Variational derivative of the free energy, truncated to the field's
+    band: ``-alpha*Lap(u) + b1*u + b2*u^2 + b3*u^3``."""
+    coeffs, _ = _potential(s, SpectralGrid(s.u.grid_shape, s.domain))
     return SpectralField(coeffs, s.domain)
 
 
@@ -408,12 +364,10 @@ def dissipation(s: SimState, rhs: str = "taylor") -> float:
     """Free-energy production rate ``-integral(H |grad(mu)|^2)`` (never
     positive); equals the time derivative of the free energy along exact
     dynamics of the matching right-hand side."""
-    mu = chemical_potential(s)
-    pad = tuple(2 * n for n in mu.grid_shape)
-    grads = _gradient_grids(_pad_coeffs(mu.coeffs, pad), s.domain, pad)
-    _, u_grid, _ = _padded_grid(s)
+    g = SpectralGrid(s.u.grid_shape, s.domain)
+    mu, u_grid = _potential(s, g)
     h_grid = _mobility_grid(s.params, u_grid, rhs)
-    density = h_grid * sum(g * g for g in grads)
+    density = h_grid * sum(d * d for d in g.gradient(mu))
     return -integrate_grid(density, s.domain)
 
 

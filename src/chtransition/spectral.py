@@ -26,6 +26,7 @@ from .params import DomainSpec
 __all__ = [
     "Mode",
     "SpectralField",
+    "SpectralGrid",
     "laplacian_eigenvalue",
     "eval_mode",
     "forward_transform",
@@ -95,7 +96,7 @@ def _analyze(grid: np.ndarray, sine_axis: int | None = None) -> np.ndarray:
     if cos_axes:
         c = scipy.fft.dctn(c, type=2, axes=cos_axes, workers=_WORKERS)
     for ax, n in enumerate(grid.shape):
-        c = c / n
+        c /= n
         edge = [slice(None)] * c.ndim
         edge[ax] = n - 1 if ax == sine_axis else 0
         c[tuple(edge)] /= 2.0
@@ -117,56 +118,84 @@ def _synthesize(coeffs: np.ndarray, sine_axis: int | None = None) -> np.ndarray:
     return x
 
 
-def _pad_coeffs(coeffs: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    out = np.zeros(shape)
-    out[: coeffs.shape[0], : coeffs.shape[1], : coeffs.shape[2]] = coeffs
-    return out
+class SpectralGrid:
+    """Pseudospectral operators for coefficient fields on the band ``shape``.
 
+    Products are formed on the grid padded by a factor of two per axis,
+    which keeps the aliases of cubic products out of the band (Boyd,
+    *Chebyshev and Fourier Spectral Methods*, ch. 11).  Coefficient inputs
+    may have the band or the padded shape.  The instance holds only
+    read-only arrays: ``k[a]`` are the wavenumbers ``j*pi/L_a`` along axis
+    ``a`` up to the padded size, and ``rho`` is the Neumann-Laplacian
+    eigenvalue of every band mode.
+    """
 
-def _truncate_coeffs(coeffs: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    return coeffs[: shape[0], : shape[1], : shape[2]].copy()
+    def __init__(self, shape: tuple[int, int, int], domain: DomainSpec) -> None:
+        self.shape = tuple(int(n) for n in shape)
+        self.pad_shape = tuple(2 * n for n in self.shape)
+        self.k = tuple(
+            np.arange(n, dtype=float) * math.pi / length
+            for n, length in zip(self.pad_shape, domain.lengths)
+        )
+        sq = [k[:n] ** 2 for k, n in zip(self.k, self.shape)]
+        self.rho = sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]
+        for a in (*self.k, self.rho):
+            a.flags.writeable = False
 
+    def _k_along(self, ax: int, n: int) -> np.ndarray:
+        """Wavenumbers 1..n-1 of axis ``ax``, shaped to broadcast along it."""
+        return self.k[ax][1:n].reshape([-1 if a == ax else 1 for a in range(3)])
 
-def _gradient_grids(
-    coeffs: np.ndarray, d: DomainSpec, shape: tuple[int, int, int]
-) -> list[np.ndarray]:
-    """Grids of the three partial derivatives, synthesised on a grid of the
-    given shape (pad for products).  Each derivative is a sine series along
-    its own axis."""
-    grids = []
-    for ax in range(3):
-        s = np.zeros(shape)
-        n_src = coeffs.shape[ax]
-        src = [slice(None)] * 3
-        src[ax] = slice(1, n_src)
-        dst = [slice(0, coeffs.shape[0]), slice(0, coeffs.shape[1]), slice(0, coeffs.shape[2])]
-        dst[ax] = slice(0, n_src - 1)
-        k = np.arange(1, n_src, dtype=float) * math.pi / d.lengths[ax]
-        k = k.reshape([-1 if a == ax else 1 for a in range(3)])
-        s[tuple(dst)] = -k * coeffs[tuple(src)]
-        grids.append(_synthesize(s, sine_axis=ax))
-    return grids
+    def padded(self, coeffs: np.ndarray) -> np.ndarray:
+        """Band coefficients zero-extended to the padded shape."""
+        out = np.zeros(self.pad_shape)
+        out[: coeffs.shape[0], : coeffs.shape[1], : coeffs.shape[2]] = coeffs
+        return out
 
+    def truncated(self, coeffs: np.ndarray) -> np.ndarray:
+        """Copy of the band part of padded coefficients."""
+        return coeffs[: self.shape[0], : self.shape[1], : self.shape[2]].copy()
 
-def _divergence_coeffs(
-    flux_grids: list[np.ndarray], d: DomainSpec, shape: tuple[int, int, int]
-) -> np.ndarray:
-    """Cosine coefficients of ``div(flux)``; flux component ``a`` is a sine
-    series along axis ``a``.  The result has exactly zero mean."""
-    total = np.zeros(shape)
-    for ax, g in enumerate(flux_grids):
-        s = _analyze(g, sine_axis=ax)
-        n = s.shape[ax]
-        c = np.zeros_like(s)
-        dst = [slice(None)] * 3
-        dst[ax] = slice(1, n)
-        src = [slice(None)] * 3
-        src[ax] = slice(0, n - 1)
-        k = np.arange(1, n, dtype=float) * math.pi / d.lengths[ax]
-        k = k.reshape([-1 if a == ax else 1 for a in range(3)])
-        c[tuple(dst)] = k * s[tuple(src)]
-        total += _truncate_coeffs(c, shape)
-    return total
+    def _full(self, coeffs: np.ndarray) -> np.ndarray:
+        return coeffs if coeffs.shape == self.pad_shape else self.padded(coeffs)
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Samples on the padded midpoint grid."""
+        return _synthesize(self._full(coeffs))
+
+    def analyze(self, grid: np.ndarray) -> np.ndarray:
+        """Padded coefficients of samples on the padded grid."""
+        return _analyze(grid)
+
+    def gradient(self, coeffs: np.ndarray) -> list[np.ndarray]:
+        """The three partial derivatives sampled on the padded grid; each is
+        a sine series along its own axis."""
+        c = self._full(coeffs)
+        grids = []
+        for ax, n in enumerate(self.pad_shape):
+            s = np.zeros(self.pad_shape)
+            src = [slice(None)] * 3
+            src[ax] = slice(1, n)
+            dst = [slice(None)] * 3
+            dst[ax] = slice(0, n - 1)
+            s[tuple(dst)] = -self._k_along(ax, n) * c[tuple(src)]
+            grids.append(_synthesize(s, sine_axis=ax))
+        return grids
+
+    def divergence(self, flux: list[np.ndarray]) -> np.ndarray:
+        """Band coefficients of ``div(flux)`` from padded-grid samples; flux
+        component ``a`` is a sine series along axis ``a``.  The result has
+        exactly zero mean."""
+        total = np.zeros(self.shape)
+        for ax, g in enumerate(flux):
+            s = _analyze(g, sine_axis=ax)
+            n = self.shape[ax]
+            src = [slice(0, m) for m in self.shape]
+            src[ax] = slice(0, n - 1)
+            dst = [slice(None)] * 3
+            dst[ax] = slice(1, n)
+            total[tuple(dst)] += self._k_along(ax, n) * s[tuple(src)]
+        return total
 
 
 def integrate_grid(values: np.ndarray, d: DomainSpec) -> float:

@@ -135,6 +135,15 @@ class TestBisection:
             tc = critical_temperature(p, d)
             assert critical_temperature_bisect(p, d) == pytest.approx(tc, rel=1e-10)
 
+    def test_small_critical_temperature_relative(self):
+        # Tc = 1.63e-4: an absolute stopping width of 1e-12 would leave a
+        # relative gap near 1e-9
+        p = PhysicalParams(R=2, gamma=0.6, alpha=0.5, ubar=5e-4)
+        d = DomainSpec((3.0, 2.0, 1.0))
+        tc = critical_temperature(p, d)
+        assert tc < 1e-3
+        assert critical_temperature_bisect(p, d) == pytest.approx(tc, rel=1e-10, abs=0.0)
+
     def test_no_supercritical(self):
         p = PhysicalParams(R=1, gamma=0.1, alpha=10, ubar=0.5)
         d = DomainSpec((math.pi, 2.0, 1.0))

@@ -25,7 +25,7 @@ from chtransition import (
     simulate,
     step,
 )
-from chtransition.spectral import _gradient_grids, _norm_weights, _pad_coeffs
+from chtransition.spectral import SpectralGrid, _norm_weights
 
 D = DomainSpec((math.pi, 2.0, 1.0))
 P = PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.5)
@@ -304,7 +304,7 @@ class TestSpectralResolution:
         coarse = res.final_state.u
         amp16 = coarse.amplitude((1, 0, 0))
 
-        lifted = _pad_coeffs(coarse.coeffs, (32, 32, 32))
+        lifted = SpectralGrid((16, 16, 16), D).padded(coarse.coeffs)
         s32 = SimState(
             u=SpectralField(lifted, D), t=0.0, T=s0.T, params=P
         )
@@ -332,7 +332,7 @@ class TestInitialData:
         pad = (16, 16, 16)
         K = (2, 1, 0)
         f = SpectralField.from_modes({K: 1.0}, shape, D)
-        grads = _gradient_grids(_pad_coeffs(f.coeffs, pad), D, pad)
+        grads = SpectralGrid(shape, D).gradient(f.coeffs)
         xs = [collocation_points(n, L) for n, L in zip(pad, D.lengths)]
         mesh = np.meshgrid(*xs, indexing="ij")
         k1, k2, _ = K

@@ -19,6 +19,7 @@ from chtransition import (
     triple_product,
 )
 from chtransition.spectral import (
+    SpectralGrid,
     collocation_points,
     grid_to_csv,
     integrate_grid,
@@ -208,6 +209,38 @@ class TestOrthogonality:
             (K[ax] * math.pi * hs[ax] / D.lengths[ax]) ** 2 / 12.0 for ax in range(3)
         ) * rho * 1.5
         assert err < bound
+
+
+class TestSpectralGrid:
+    SHAPE = (10, 12, 8)
+
+    def _band(self, seed):
+        c = np.random.default_rng(seed).standard_normal(self.SHAPE)
+        c[0, 0, 0] = 0.0
+        return c
+
+    def test_divergence_of_gradient_is_minus_laplacian(self):
+        g = SpectralGrid(self.SHAPE, D)
+        c = self._band(8)
+        expect = -g.rho * c
+        err = np.abs(g.divergence(g.gradient(c)) - expect).max()
+        assert err <= 1e-12 * np.abs(expect).max()
+
+    def test_divergence_zero_mode_exact(self):
+        g = SpectralGrid(self.SHAPE, D)
+        c = self._band(9)
+        u_grid = g.synthesize(c)
+        flux = [u_grid * d for d in g.gradient(c)]
+        assert g.divergence(flux)[0, 0, 0] == 0.0
+
+    def test_padding_and_read_only_tables(self):
+        g = SpectralGrid(self.SHAPE, D)
+        c = self._band(10)
+        assert g.padded(c).shape == (20, 24, 16)
+        assert np.array_equal(g.truncated(g.padded(c)), c)
+        assert g.rho.shape == self.SHAPE
+        assert g.rho[1, 0, 0] == laplacian_eigenvalue((1, 0, 0), D)
+        assert not any(a.flags.writeable for a in (*g.k, g.rho))
 
 
 class TestTripleProducts:
