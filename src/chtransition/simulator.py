@@ -190,25 +190,23 @@ class Stepper:
         p, b, g = self.params, self.coeffs_b, self.grid
         mob = p.mobility
         u_grid = g.synthesize(coeffs)
-        u2_hat_pad = g.analyze(u_grid * u_grid)
-        u3_hat = g.truncated(g.analyze(u_grid * u_grid * u_grid))
-        u2_hat = g.truncated(u2_hat_pad)
+        u2_grid = u_grid * u_grid
+        poly = b.b3 * u_grid  # b2*u^2 + b3*u^3, in place
+        poly += b.b2
+        poly *= u2_grid
+        out = -mob.h0 * self.rho * g.analyze(poly)
 
-        out = -mob.h0 * self.rho * (b.b2 * u2_hat + b.b3 * u3_hat)
-
-        if mob.h1 != 0.0:
-            # flux u * grad(alpha*Lap(u) - b1*u - b2*u^2)
-            v_pad = g.padded((-p.alpha * self.rho - b.b1) * coeffs)
-            v_pad -= b.b2 * u2_hat_pad
-            flux = [u_grid * d for d in g.gradient(v_pad)]
-            out -= mob.h1 * g.divergence(flux)
-
-        if mob.h2 != 0.0:
-            # flux u^2 * grad(alpha*Lap(u) - b1*u)
-            grads = g.gradient((-p.alpha * self.rho - b.b1) * coeffs)
-            u2_grid = u_grid * u_grid
-            flux = [u2_grid * d for d in grads]
-            out -= 0.5 * mob.h2 * g.divergence(flux)
+        if mob.h1 != 0.0 or mob.h2 != 0.0:
+            # one flux for both terms: h1 * u * grad(alpha*Lap(u) - b1*u - b2*u^2)
+            # + h2/2 * u^2 * grad(alpha*Lap(u) - b1*u), with grad(u^2) = 2*u*grad(u)
+            # (exact: u^2 is resolved on the padded grid)
+            weight = mob.h1 * u_grid + 0.5 * mob.h2 * u2_grid
+            flux = [weight * d for d in g.gradient((-p.alpha * self.rho - b.b1) * coeffs)]
+            if mob.h1 != 0.0 and b.b2 != 0.0:
+                sq_weight = 2.0 * mob.h1 * b.b2 * u2_grid
+                for f, d in zip(flux, g.gradient(coeffs)):
+                    f -= sq_weight * d
+            out -= g.divergence(flux)
 
         out[0, 0, 0] = 0.0
         return out
@@ -217,7 +215,7 @@ class Stepper:
         p, b, g = self.params, self.coeffs_b, self.grid
         u_grid = g.synthesize(coeffs)
         poly = b.b2 * u_grid * u_grid + b.b3 * u_grid * u_grid * u_grid
-        mu_hat = (p.alpha * self.rho + b.b1) * coeffs + g.truncated(g.analyze(poly))
+        mu_hat = (p.alpha * self.rho + b.b1) * coeffs + g.analyze(poly)
         h_grid = _mobility_grid(p, u_grid, "divergence")
         flux = [h_grid * d for d in g.gradient(mu_hat)]
         rhs = g.divergence(flux)
@@ -331,9 +329,8 @@ def free_energy(s: SimState) -> float:
     temperature, by spectral differentiation and exact midpoint quadrature."""
     b = derive_coefficients(s.params, s.T)
     g = SpectralGrid(s.u.grid_shape, s.domain)
-    padded = g.padded(s.u.coeffs)
-    u_grid = g.synthesize(padded)
-    density = 0.5 * s.params.alpha * sum(d * d for d in g.gradient(padded))
+    u_grid = g.synthesize(s.u.coeffs)
+    density = 0.5 * s.params.alpha * sum(d * d for d in g.gradient(s.u.coeffs))
     density += (
         0.5 * b.b1 * u_grid**2 + b.b2 / 3.0 * u_grid**3 + 0.25 * b.b3 * u_grid**4
     )
@@ -346,7 +343,7 @@ def _potential(s: SimState, g: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     b = derive_coefficients(s.params, s.T)
     u_grid = g.synthesize(s.u.coeffs)
     poly = b.b2 * u_grid * u_grid + b.b3 * u_grid**3
-    coeffs = (s.params.alpha * g.rho + b.b1) * s.u.coeffs + g.truncated(g.analyze(poly))
+    coeffs = (s.params.alpha * g.rho + b.b1) * s.u.coeffs + g.analyze(poly)
     # the polynomial part may carry a mean; the potential is defined up to a
     # constant, so drop it
     coeffs[0, 0, 0] = 0.0

@@ -43,7 +43,9 @@ __all__ = [
 
 Mode = tuple[int, int, int]
 
-_WORKERS = -1  # let pocketfft use all cores
+# pocketfft threads per transform call; callers that want parallelism run
+# independent solves on a pool instead, so the two levels never nest
+_WORKERS = 1
 
 
 def _check_mode(K) -> Mode:
@@ -80,42 +82,68 @@ def collocation_points(n: int, length: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# raw transforms between midpoint-grid samples and basis coefficients
+# pruned transforms between midpoint-grid samples and basis coefficients
 #
 # Coefficient arrays are indexed [k1, k2, k3].  A field may be represented in
 # a mixed basis that is sine along one axis (slot j holds wavenumber j+1, as
-# produced by differentiating a cosine series); `sine_axis` selects it.
+# produced by differentiating a cosine series); `sine_axis` selects it.  The
+# transforms run one axis at a time and are unscaled; `_norm` holds the
+# scaling.  Synthesis zero-extends one axis per pass and analysis truncates
+# after each pass, so no pass transforms lines that are all zero (FFT
+# pruning).
 # ---------------------------------------------------------------------------
 
 
-def _analyze(grid: np.ndarray, sine_axis: int | None = None) -> np.ndarray:
+def _analyze(grid: np.ndarray, band: tuple[int, ...], sine_axis: int | None = None) -> np.ndarray:
+    """Unscaled DCT-II (DST-II along ``sine_axis``) of the samples, keeping
+    the first ``band[ax]`` outputs of each axis before the next pass."""
     c = np.asarray(grid, dtype=float)
-    cos_axes = [a for a in range(c.ndim) if a != sine_axis]
-    if sine_axis is not None:
-        c = scipy.fft.dst(c, type=2, axis=sine_axis, workers=_WORKERS)
-    if cos_axes:
-        c = scipy.fft.dctn(c, type=2, axes=cos_axes, workers=_WORKERS)
-    for ax, n in enumerate(grid.shape):
-        c /= n
-        edge = [slice(None)] * c.ndim
-        edge[ax] = n - 1 if ax == sine_axis else 0
-        c[tuple(edge)] /= 2.0
+    for ax in (2, 1, 0):
+        if ax == sine_axis:
+            c = scipy.fft.dst(c, type=2, axis=ax, workers=_WORKERS)
+        else:
+            c = scipy.fft.dctn(c, type=2, axes=[ax], workers=_WORKERS)
+        c = c[(slice(None),) * ax + (slice(0, band[ax]),)]
     return c
 
 
-def _synthesize(coeffs: np.ndarray, sine_axis: int | None = None) -> np.ndarray:
-    x = np.array(coeffs, dtype=float)
-    for ax, n in enumerate(x.shape):
-        x *= n
-        edge = [slice(None)] * x.ndim
-        edge[ax] = n - 1 if ax == sine_axis else 0
-        x[tuple(edge)] *= 2.0
-    cos_axes = [a for a in range(x.ndim) if a != sine_axis]
-    if sine_axis is not None:
-        x = scipy.fft.idst(x, type=2, axis=sine_axis, workers=_WORKERS)
-    if cos_axes:
-        x = scipy.fft.idctn(x, type=2, axes=cos_axes, workers=_WORKERS)
+def _synthesize(
+    coeffs: np.ndarray, grid_shape: tuple[int, ...], sine_axis: int | None = None
+) -> np.ndarray:
+    """Unscaled inverse of `_analyze`: samples on ``grid_shape``, each pass
+    zero-extending one axis of the coefficients to its grid size."""
+    x = coeffs
+    for ax in (0, 1, 2):
+        n = grid_shape[ax]
+        if ax == sine_axis:
+            x = scipy.fft.idst(x, type=2, n=n, axis=ax, workers=_WORKERS)
+        else:
+            x = scipy.fft.idctn(x, type=2, s=[n], axes=[ax], workers=_WORKERS)
     return x
+
+
+def _norm(
+    band: tuple[int, ...],
+    grid_shape: tuple[int, ...],
+    inverse: bool,
+    sine_axis: int | None = None,
+    k: np.ndarray | None = None,
+) -> np.ndarray:
+    """Band-shaped scale that turns the unscaled transforms into plain
+    amplitudes (``inverse``: the reverse), as the product of one vector per
+    axis.  Along ``sine_axis`` it includes the derivative factor of that
+    axis's wavenumbers ``k[1:]``: ``-k`` for synthesis, ``k`` for analysis (the
+    sine band never reaches the last grid slot, which would need a factor
+    of two)."""
+    out = np.ones(())
+    for ax, (n, m) in enumerate(zip(band, grid_shape)):
+        if ax == sine_axis:
+            w = -m * k[1 : n + 1] if inverse else k[1 : n + 1] / m
+        else:
+            w = np.full(n, float(m) if inverse else 1.0 / m)
+            w[0] = 2.0 * m if inverse else 0.5 / m
+        out = np.multiply.outer(out, w)
+    return out
 
 
 class SpectralGrid:
@@ -123,11 +151,12 @@ class SpectralGrid:
 
     Products are formed on the grid padded by a factor of two per axis,
     which keeps the aliases of cubic products out of the band (Boyd,
-    *Chebyshev and Fourier Spectral Methods*, ch. 11).  Coefficient inputs
-    may have the band or the padded shape.  The instance holds only
-    read-only arrays: ``k[a]`` are the wavenumbers ``j*pi/L_a`` along axis
-    ``a`` up to the padded size, and ``rho`` is the Neumann-Laplacian
-    eigenvalue of every band mode.
+    *Chebyshev and Fourier Spectral Methods*, ch. 11).  Coefficients go in
+    and come out with the band shape; the transforms skip the zero padding.
+    The instance holds only read-only arrays: ``k[a]`` are the wavenumbers
+    ``j*pi/L_a`` along axis ``a`` up to the padded size, ``rho`` is the
+    Neumann-Laplacian eigenvalue of every band mode, and the transform
+    scales are built on first use.
     """
 
     def __init__(self, shape: tuple[int, int, int], domain: DomainSpec) -> None:
@@ -141,10 +170,19 @@ class SpectralGrid:
         self.rho = sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]
         for a in (*self.k, self.rho):
             a.flags.writeable = False
+        self._scales: dict[tuple[bool, int | None], np.ndarray] = {}
 
-    def _k_along(self, ax: int, n: int) -> np.ndarray:
-        """Wavenumbers 1..n-1 of axis ``ax``, shaped to broadcast along it."""
-        return self.k[ax][1:n].reshape([-1 if a == ax else 1 for a in range(3)])
+    def _scale(self, inverse: bool, sine_axis: int | None = None) -> np.ndarray:
+        """`_norm` for this grid's band (one slot shorter along the sine
+        axis), built on first use."""
+        key = (inverse, sine_axis)
+        if key not in self._scales:
+            band = [n - (ax == sine_axis) for ax, n in enumerate(self.shape)]
+            k = None if sine_axis is None else self.k[sine_axis]
+            w = _norm(band, self.pad_shape, inverse, sine_axis, k)
+            w.flags.writeable = False
+            self._scales[key] = w
+        return self._scales[key]
 
     def padded(self, coeffs: np.ndarray) -> np.ndarray:
         """Band coefficients zero-extended to the padded shape."""
@@ -152,49 +190,34 @@ class SpectralGrid:
         out[: coeffs.shape[0], : coeffs.shape[1], : coeffs.shape[2]] = coeffs
         return out
 
-    def truncated(self, coeffs: np.ndarray) -> np.ndarray:
-        """Copy of the band part of padded coefficients."""
-        return coeffs[: self.shape[0], : self.shape[1], : self.shape[2]].copy()
-
-    def _full(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs if coeffs.shape == self.pad_shape else self.padded(coeffs)
-
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Samples on the padded midpoint grid."""
-        return _synthesize(self._full(coeffs))
+        """Samples of band coefficients on the padded midpoint grid."""
+        return _synthesize(coeffs * self._scale(True), self.pad_shape)
 
     def analyze(self, grid: np.ndarray) -> np.ndarray:
-        """Padded coefficients of samples on the padded grid."""
-        return _analyze(grid)
+        """Band coefficients of samples on the padded grid."""
+        return _analyze(grid, self.shape) * self._scale(False)
 
     def gradient(self, coeffs: np.ndarray) -> list[np.ndarray]:
-        """The three partial derivatives sampled on the padded grid; each is
-        a sine series along its own axis."""
-        c = self._full(coeffs)
-        grids = []
-        for ax, n in enumerate(self.pad_shape):
-            s = np.zeros(self.pad_shape)
-            src = [slice(None)] * 3
-            src[ax] = slice(1, n)
-            dst = [slice(None)] * 3
-            dst[ax] = slice(0, n - 1)
-            s[tuple(dst)] = -self._k_along(ax, n) * c[tuple(src)]
-            grids.append(_synthesize(s, sine_axis=ax))
-        return grids
+        """The three partial derivatives of band coefficients sampled on the
+        padded grid; each is a sine series along its own axis."""
+        return [
+            _synthesize(
+                coeffs[(slice(None),) * ax + (slice(1, None),)] * self._scale(True, ax),
+                self.pad_shape,
+                sine_axis=ax,
+            )
+            for ax in range(3)
+        ]
 
     def divergence(self, flux: list[np.ndarray]) -> np.ndarray:
         """Band coefficients of ``div(flux)`` from padded-grid samples; flux
         component ``a`` is a sine series along axis ``a``.  The result has
         exactly zero mean."""
         total = np.zeros(self.shape)
-        for ax, g in enumerate(flux):
-            s = _analyze(g, sine_axis=ax)
-            n = self.shape[ax]
-            src = [slice(0, m) for m in self.shape]
-            src[ax] = slice(0, n - 1)
-            dst = [slice(None)] * 3
-            dst[ax] = slice(1, n)
-            total[tuple(dst)] += self._k_along(ax, n) * s[tuple(src)]
+        for ax, f in enumerate(flux):
+            w = self._scale(False, ax)
+            total[(slice(None),) * ax + (slice(1, None),)] += _analyze(f, w.shape, ax) * w
         return total
 
 
@@ -281,12 +304,13 @@ def forward_transform(grid: np.ndarray, d: DomainSpec) -> SpectralField:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 3:
         raise ValueError(f"expected a three-dimensional grid, got shape {grid.shape}")
-    return SpectralField(_analyze(grid), d)
+    return SpectralField(_analyze(grid, grid.shape) * _norm(grid.shape, grid.shape, False), d)
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
     """Synthesise the field on its midpoint collocation grid."""
-    return _synthesize(f.coeffs)
+    shape = f.grid_shape
+    return _synthesize(f.coeffs * _norm(shape, shape, True), shape)
 
 
 # ---------------------------------------------------------------------------

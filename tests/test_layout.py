@@ -1,7 +1,23 @@
-"""Package layout rules checked on the source text."""
+"""Package layout rules."""
 
 import ast
+import math
 from pathlib import Path
+
+import numpy as np
+import scipy.fft
+
+from chtransition import (
+    DomainSpec,
+    MobilitySpec,
+    PhysicalParams,
+    SimState,
+    StepConfig,
+    Stepper,
+    dissipation,
+    free_energy,
+    random_initial_field,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chtransition"
 
@@ -17,3 +33,40 @@ def test_no_private_names_imported_across_modules():
                     if alias.name.startswith("_")
                 )
     assert not offences, "private names imported across modules:\n" + "\n".join(offences)
+
+
+def test_transforms_go_through_the_traced_entry_points(monkeypatch):
+    # perfbench's tracer wraps scipy.fft.dctn, idctn, dst and idst on the
+    # scipy.fft module; a transform called by any other name, or bound
+    # before the tracer installs, would escape its counts
+    calls = dict.fromkeys(("dctn", "idctn", "dst", "idst"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transform outside scipy.fft.dctn/idctn/dst/idst")
+
+    for name in calls:
+        monkeypatch.setattr(scipy.fft, name, counted(name, getattr(scipy.fft, name)))
+    for name in ("dct", "idct", "dstn", "idstn"):
+        monkeypatch.setattr(scipy.fft, name, refuse)
+
+    d = DomainSpec((math.pi, 2.0, 1.0))
+    # ubar = 0.4 makes b2 nonzero, which the h1 flux needs for its last term
+    p = PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.4,
+                       mobility=MobilitySpec(h0=1.0, h1=0.3, h2=0.2))
+    grid = (6, 7, 8)
+    u = random_initial_field(d, grid, 0.05, np.random.default_rng(1))
+    s = SimState(u=u, t=0.0, T=0.2, params=p)
+    for rhs in ("taylor", "divergence"):
+        Stepper(s, StepConfig(dt=0.01, grid=grid, rhs=rhs)).step(s)
+        dissipation(s, rhs=rhs)
+    s_h0 = SimState(u=u, t=0.0, T=0.2, params=PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.4))
+    Stepper(s_h0, StepConfig(dt=0.01, grid=grid)).step(s_h0)
+    free_energy(s)
+    assert all(calls.values()), calls

@@ -133,7 +133,7 @@ class TestBisection:
         for _ in range(25):
             p, d = draw_params(rng)
             tc = critical_temperature(p, d)
-            assert critical_temperature_bisect(p, d) == pytest.approx(tc, rel=1e-10)
+            assert critical_temperature_bisect(p, d) == pytest.approx(tc, rel=1e-10, abs=0.0)
 
     def test_small_critical_temperature_relative(self):
         # Tc = 1.63e-4: an absolute stopping width of 1e-12 would leave a

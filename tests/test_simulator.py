@@ -18,6 +18,7 @@ from chtransition import (
     derive_coefficients,
     dissipation,
     field_from_modes,
+    forward_transform,
     free_energy,
     growth_rate,
     laplacian_eigenvalue,
@@ -25,7 +26,7 @@ from chtransition import (
     simulate,
     step,
 )
-from chtransition.spectral import SpectralGrid, _norm_weights
+from chtransition.spectral import SpectralGrid, _norm_weights, collocation_points
 
 D = DomainSpec((math.pi, 2.0, 1.0))
 P = PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.5)
@@ -291,6 +292,43 @@ class TestSimulate:
         s0 = _state({(1, 0, 0): 0.01})
         res = simulate(s0, StepConfig(dt=0.05, grid=SMALL), t_end=0.5)
         assert set(res.amplitudes) == {(1, 0, 0)}
+
+
+class TestTaylorFlux:
+    def test_h1_h2_term_matches_spectral_square_gradient(self):
+        # ubar = 0.4 makes b2 nonzero, so the h1 flux carries -b2*u*grad(u^2);
+        # the reference differentiates the padded-grid coefficients of u^2
+        p = PhysicalParams(
+            R=1, gamma=1, alpha=1, ubar=0.4, mobility=MobilitySpec(h0=1.0, h1=0.3, h2=0.2)
+        )
+        shape = (6, 7, 8)
+        u = random_initial_field(D, shape, 0.1, np.random.default_rng(3))
+        s = SimState(u=u, t=0.0, T=0.2, params=p)
+        b = derive_coefficients(p, s.T)
+        assert b.b2 != 0.0
+        got = Stepper(s, StepConfig(dt=0.01, grid=shape)).explicit_term(u.coeffs)
+
+        g = SpectralGrid(shape, D)
+        u_grid = g.synthesize(u.coeffs)
+        # the mean of u^2 only sets the zero mode, which no term below uses
+        sq = forward_transform(u_grid**2 - np.mean(u_grid**2), D).coeffs
+        cube = forward_transform(u_grid**3 - np.mean(u_grid**3), D).coeffs
+        xs = [collocation_points(n, L) for n, L in zip(g.pad_shape, D.lengths)]
+        grad_sq = []
+        for ax in range(3):
+            mats = []
+            for a, (x, k) in enumerate(zip(xs, g.k)):
+                arg = np.outer(x, k)
+                mats.append(-k * np.sin(arg) if a == ax else np.cos(arg))
+            grad_sq.append(np.einsum("ia,jb,kc,abc->ijk", *mats, sq))
+        grads = g.gradient((-p.alpha * g.rho - b.b1) * u.coeffs)
+        flux1 = [u_grid * (d - b.b2 * e) for d, e in zip(grads, grad_sq)]
+        flux2 = [u_grid**2 * d for d in grads]
+        band = tuple(slice(0, n) for n in shape)
+        expect = -p.mobility.h0 * g.rho * (b.b2 * sq[band] + b.b3 * cube[band])
+        expect -= p.mobility.h1 * g.divergence(flux1) + 0.5 * p.mobility.h2 * g.divergence(flux2)
+        expect[0, 0, 0] = 0.0
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 class TestSpectralResolution:

@@ -237,10 +237,47 @@ class TestSpectralGrid:
         g = SpectralGrid(self.SHAPE, D)
         c = self._band(10)
         assert g.padded(c).shape == (20, 24, 16)
-        assert np.array_equal(g.truncated(g.padded(c)), c)
+        assert np.array_equal(g.padded(c)[:10, :12, :8], c)
         assert g.rho.shape == self.SHAPE
         assert g.rho[1, 0, 0] == laplacian_eigenvalue((1, 0, 0), D)
         assert not any(a.flags.writeable for a in (*g.k, g.rho))
+
+
+class TestBandTransforms:
+    SHAPE = (5, 6, 7)
+
+    def _band(self, seed):
+        c = np.random.default_rng(seed).standard_normal(self.SHAPE)
+        c[0, 0, 0] = 0.0
+        return SpectralGrid(self.SHAPE, D), c
+
+    @staticmethod
+    def _axis_points(g):
+        return [collocation_points(n, L) for n, L in zip(g.pad_shape, D.lengths)]
+
+    def test_synthesize_matches_mode_sum(self):
+        g, c = self._band(21)
+        pts = np.stack(np.meshgrid(*self._axis_points(g), indexing="ij"), axis=-1)
+        expect = sum(
+            c[K] * eval_mode(K, pts, D) for K in product(*map(range, self.SHAPE)) if any(K)
+        )
+        assert np.abs(g.synthesize(c) - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def test_gradient_matches_analytic_derivatives(self):
+        g, c = self._band(22)
+        xs = self._axis_points(g)
+        for ax, grid in enumerate(g.gradient(c)):
+            mats = []
+            for b, (x, n, L) in enumerate(zip(xs, self.SHAPE, D.lengths)):
+                k = np.arange(n) * math.pi / L
+                arg = np.outer(x, k)
+                mats.append(-k * np.sin(arg) if b == ax else np.cos(arg))
+            expect = np.einsum("ia,jb,kc,abc->ijk", *mats, c)
+            assert np.abs(grid - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def test_analyze_inverts_synthesize(self):
+        g, c = self._band(23)
+        assert np.abs(g.analyze(g.synthesize(c)) - c).max() <= 1e-14 * np.abs(c).max()
 
 
 class TestTripleProducts:
