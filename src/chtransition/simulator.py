@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linstab import critical_set
-from .params import DomainSpec, PhysicalParams, derive_coefficients
+from .params import Coefficients, DomainSpec, PhysicalParams, derive_coefficients
 from .spectral import Mode, SpectralField, SpectralGrid, integrate_grid
 
 __all__ = [
@@ -212,10 +212,8 @@ class Stepper:
         return out
 
     def _explicit_divergence(self, coeffs: np.ndarray) -> np.ndarray:
-        p, b, g = self.params, self.coeffs_b, self.grid
-        u_grid = g.synthesize(coeffs)
-        poly = b.b2 * u_grid * u_grid + b.b3 * u_grid * u_grid * u_grid
-        mu_hat = (p.alpha * self.rho + b.b1) * coeffs + g.analyze(poly)
+        p, g = self.params, self.grid
+        mu_hat, u_grid = _potential(g, coeffs, p.alpha, self.coeffs_b)
         h_grid = _mobility_grid(p, u_grid, "divergence")
         flux = [h_grid * d for d in g.gradient(mu_hat)]
         rhs = g.divergence(flux)
@@ -326,35 +324,48 @@ def simulate(
 
 def free_energy(s: SimState) -> float:
     """Quartic free energy of the deviation field at the state's
-    temperature, by spectral differentiation and exact midpoint quadrature."""
+    temperature.  The gradient part comes from the coefficients by Parseval
+    (`SpectralGrid.gradient_norm_sq`); the potential part is the midpoint
+    quadrature of one synthesis on the padded grid, exact for the quartic
+    of a band-limited field."""
     b = derive_coefficients(s.params, s.T)
     g = SpectralGrid(s.u.grid_shape, s.domain)
     u_grid = g.synthesize(s.u.coeffs)
-    density = 0.5 * s.params.alpha * sum(d * d for d in g.gradient(s.u.coeffs))
-    density += (
-        0.5 * b.b1 * u_grid**2 + b.b2 / 3.0 * u_grid**3 + 0.25 * b.b3 * u_grid**4
+    # b1/2*u^2 + b2/3*u^3 + b3/4*u^4 by Horner, in place
+    density = 0.25 * b.b3 * u_grid
+    density += b.b2 / 3.0
+    density *= u_grid
+    density += 0.5 * b.b1
+    density *= u_grid
+    density *= u_grid
+    return 0.5 * s.params.alpha * g.gradient_norm_sq(s.u.coeffs) + integrate_grid(
+        density, s.domain
     )
-    return integrate_grid(density, s.domain)
 
 
-def _potential(s: SimState, g: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+def _potential(
+    g: SpectralGrid, coeffs: np.ndarray, alpha: float, b: Coefficients
+) -> tuple[np.ndarray, np.ndarray]:
     """Band coefficients of the chemical potential (zero mode dropped) and
     the padded-grid samples of ``u`` used to form them."""
-    b = derive_coefficients(s.params, s.T)
-    u_grid = g.synthesize(s.u.coeffs)
-    poly = b.b2 * u_grid * u_grid + b.b3 * u_grid**3
-    coeffs = (s.params.alpha * g.rho + b.b1) * s.u.coeffs + g.analyze(poly)
+    u_grid = g.synthesize(coeffs)
+    poly = b.b3 * u_grid  # b2*u^2 + b3*u^3, in place
+    poly += b.b2
+    poly *= u_grid
+    poly *= u_grid
+    mu = (alpha * g.rho + b.b1) * coeffs + g.analyze(poly)
     # the polynomial part may carry a mean; the potential is defined up to a
     # constant, so drop it
-    coeffs[0, 0, 0] = 0.0
-    return coeffs, u_grid
+    mu[0, 0, 0] = 0.0
+    return mu, u_grid
 
 
 def chemical_potential(s: SimState) -> SpectralField:
     """Variational derivative of the free energy, truncated to the field's
     band: ``-alpha*Lap(u) + b1*u + b2*u^2 + b3*u^3``."""
-    coeffs, _ = _potential(s, SpectralGrid(s.u.grid_shape, s.domain))
-    return SpectralField(coeffs, s.domain)
+    g = SpectralGrid(s.u.grid_shape, s.domain)
+    mu, _ = _potential(g, s.u.coeffs, s.params.alpha, derive_coefficients(s.params, s.T))
+    return SpectralField(mu, s.domain)
 
 
 def dissipation(s: SimState, rhs: str = "taylor") -> float:
@@ -362,7 +373,7 @@ def dissipation(s: SimState, rhs: str = "taylor") -> float:
     positive); equals the time derivative of the free energy along exact
     dynamics of the matching right-hand side."""
     g = SpectralGrid(s.u.grid_shape, s.domain)
-    mu, u_grid = _potential(s, g)
+    mu, u_grid = _potential(g, s.u.coeffs, s.params.alpha, derive_coefficients(s.params, s.T))
     h_grid = _mobility_grid(s.params, u_grid, rhs)
     density = h_grid * sum(d * d for d in g.gradient(mu))
     return -integrate_grid(density, s.domain)

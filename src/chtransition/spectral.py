@@ -153,14 +153,15 @@ class SpectralGrid:
     which keeps the aliases of cubic products out of the band (Boyd,
     *Chebyshev and Fourier Spectral Methods*, ch. 11).  Coefficients go in
     and come out with the band shape; the transforms skip the zero padding.
-    The instance holds only read-only arrays: ``k[a]`` are the wavenumbers
-    ``j*pi/L_a`` along axis ``a`` up to the padded size, ``rho`` is the
-    Neumann-Laplacian eigenvalue of every band mode, and the transform
-    scales are built on first use.
+    The instance holds its (frozen) domain and read-only arrays: ``k[a]``
+    are the wavenumbers ``j*pi/L_a`` along axis ``a`` up to the padded size,
+    ``rho`` is the Neumann-Laplacian eigenvalue of every band mode, and the
+    transform scales are built on first use.
     """
 
     def __init__(self, shape: tuple[int, int, int], domain: DomainSpec) -> None:
         self.shape = tuple(int(n) for n in shape)
+        self.domain = domain
         self.pad_shape = tuple(2 * n for n in self.shape)
         self.k = tuple(
             np.arange(n, dtype=float) * math.pi / length
@@ -209,6 +210,11 @@ class SpectralGrid:
             )
             for ax in range(3)
         ]
+
+    def gradient_norm_sq(self, coeffs: np.ndarray) -> float:
+        """``integral(|grad(u)|^2)`` of band coefficients by Parseval:
+        ``sum_K rho_K * c_K^2 * <e_K, e_K>``, with no transform."""
+        return float((self.rho * coeffs * coeffs * _norm_weights(self.shape, self.domain)).sum())
 
     def divergence(self, flux: list[np.ndarray]) -> np.ndarray:
         """Band coefficients of ``div(flux)`` from padded-grid samples; flux

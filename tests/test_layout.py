@@ -70,3 +70,38 @@ def test_transforms_go_through_the_traced_entry_points(monkeypatch):
     Stepper(s_h0, StepConfig(dt=0.01, grid=grid)).step(s_h0)
     free_energy(s)
     assert all(calls.values()), calls
+
+    # one-axis calls per diagnostic: free_energy synthesises u once (3) and
+    # takes its gradient energy from the coefficients; dissipation
+    # synthesises u (3), analyses the potential (3) and synthesises its
+    # gradient (9)
+    for diagnostic, expect in (
+        (free_energy, 3),
+        (lambda s: dissipation(s, rhs="taylor"), 15),
+        (lambda s: dissipation(s, rhs="divergence"), 15),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        diagnostic(s)
+        assert sum(calls.values()) == expect, calls
+
+
+def test_no_elementwise_integer_powers_in_grid_code():
+    # numpy evaluates u**3 and u**4 with elementwise pow, about 60 times
+    # slower than u*u*u on a 48^3 grid of small values
+    offences = []
+    for name in ("simulator.py", "spectral.py"):
+        path = SRC / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                exponent = node.right
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+                exponent = node.value
+            else:
+                continue
+            if (
+                isinstance(exponent, ast.Constant)
+                and isinstance(exponent.value, int)
+                and exponent.value >= 3
+            ):
+                offences.append(f"{name}:{node.lineno}: ** {exponent.value}")
+    assert not offences, "integer powers above two:\n" + "\n".join(offences)

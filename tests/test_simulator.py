@@ -26,7 +26,12 @@ from chtransition import (
     simulate,
     step,
 )
-from chtransition.spectral import SpectralGrid, _norm_weights, collocation_points
+from chtransition.spectral import (
+    SpectralGrid,
+    _norm_weights,
+    collocation_points,
+    integrate_grid,
+)
 
 D = DomainSpec((math.pi, 2.0, 1.0))
 P = PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.5)
@@ -180,6 +185,59 @@ class TestDiagnostics:
         coarse, fine = mismatch(0.008), mismatch(0.002)
         assert coarse < 0.1
         assert fine < 0.35 * coarse
+
+
+class TestDiagnosticReferences:
+    # the direct forms: gradient squares summed on the padded grid and
+    # elementwise powers of u
+    SHAPE = (10, 12, 8)
+    PROFILE = MobilityProfile(kind="polynomial", data=(0.6, 1.2, -1.0))
+    CASES = {
+        "taylor-h0": (PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.5), "taylor"),
+        "taylor-h1-h2": (
+            PhysicalParams(
+                R=1, gamma=1, alpha=1, ubar=0.4,
+                mobility=MobilitySpec(h0=1.0, h1=0.3, h2=0.2),
+            ),
+            "taylor",
+        ),
+        "divergence-poly": (
+            PhysicalParams(
+                R=1, gamma=1, alpha=1, ubar=0.4,
+                mobility=MobilitySpec.from_profile(PROFILE, 0.4),
+            ),
+            "divergence",
+        ),
+    }
+
+    def _setup(self, case):
+        p, rhs = self.CASES[case]
+        u = random_initial_field(D, self.SHAPE, 0.1, np.random.default_rng(5))
+        s = SimState(u=u, t=0.0, T=0.2, params=p)
+        return s, rhs, derive_coefficients(p, s.T), SpectralGrid(self.SHAPE, D)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_free_energy(self, case):
+        s, _, b, g = self._setup(case)
+        c = s.u.coeffs
+        u = g.synthesize(c)
+        density = 0.5 * s.params.alpha * sum(d * d for d in g.gradient(c))
+        density += 0.5 * b.b1 * u**2 + b.b2 / 3.0 * u**3 + 0.25 * b.b3 * u**4
+        expect = integrate_grid(density, D)
+        assert free_energy(s) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_dissipation(self, case):
+        s, rhs, b, g = self._setup(case)
+        p, c = s.params, s.u.coeffs
+        u = g.synthesize(c)
+        mu = (p.alpha * g.rho + b.b1) * c + g.analyze(b.b2 * u**2 + b.b3 * u**3)
+        if rhs == "divergence":
+            h = p.mobility.profile(p.ubar + u)
+        else:
+            h = p.mobility.taylor_value(u)
+        expect = -integrate_grid(h * sum(d * d for d in g.gradient(mu)), D)
+        assert dissipation(s, rhs=rhs) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
 class TestConservation:

@@ -279,6 +279,13 @@ class TestBandTransforms:
         g, c = self._band(23)
         assert np.abs(g.analyze(g.synthesize(c)) - c).max() <= 1e-14 * np.abs(c).max()
 
+    def test_gradient_norm_sq_matches_quadrature(self):
+        # |grad(u)|^2 of the band is resolved on the padded grid, so the
+        # midpoint rule gives the Parseval sum to rounding
+        g, c = self._band(24)
+        expect = integrate_grid(sum(d * d for d in g.gradient(c)), D)
+        assert g.gradient_norm_sq(c) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
 
 class TestTripleProducts:
     def test_doubling_pair(self):
