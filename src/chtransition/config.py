@@ -13,8 +13,12 @@ The format is deliberately minimal so runs diff cleanly:
     H0 = 1.0
     H1 = 0.0
     H2 = 0.0
-    # profile = poly 1.0 0.5          (coefficients in powers of s)
-    # profile = table 0:1 0.5:1.2 1:1 (piecewise-linear samples)
+
+or, in place of H0-H2, which it then defines (setting both is an error):
+
+    [mobility]
+    profile = poly 1.0 0.5          # coefficients in powers of s
+    # profile = table 0:1 0.4:1.2 1:1 (piecewise linear; no knot at ubar)
 
     [domain]
     L1 = 3.141592653589793
@@ -283,10 +287,14 @@ def load_config(path) -> RunConfig:
     phys.reject_unknown()
 
     mob = section("mobility")
-    h0 = mob.optional("H0", _as_float, 1.0)
-    h1 = mob.optional("H1", _as_float, 0.0)
-    h2 = mob.optional("H2", _as_float, 0.0)
-    profile = mob.optional("profile", _as_profile, None)
+    mobility = mob.optional(
+        "profile", lambda s: MobilitySpec.from_profile(_as_profile(s), ubar), None
+    )
+    taylor = {"H0": 1.0, "H1": 0.0, "H2": 0.0}
+    for key, default in taylor.items():
+        if mobility is not None and key in mob.raw:
+            raise ConfigError(f"{key!r} is set by 'profile'", path, mob.raw[key][1])
+        taylor[key] = mob.optional(key, _as_float, default)
     mob.reject_unknown()
 
     dom = section("domain")
@@ -300,7 +308,8 @@ def load_config(path) -> RunConfig:
     dom.reject_unknown()
 
     try:
-        mobility = MobilitySpec(h0=h0, h1=h1, h2=h2, profile=profile)
+        if mobility is None:
+            mobility = MobilitySpec(*taylor.values())
         physical = PhysicalParams(R=r, gamma=gamma, alpha=alpha, ubar=ubar, mobility=mobility)
         domain = DomainSpec(
             lengths=(l1, l2, l3),

@@ -88,8 +88,9 @@ class MobilityProfile:
         return np.interp(s, xs, hs)
 
     def taylor_data(self, ubar: float) -> tuple[float, float, float]:
-        """``(H(ubar), H'(ubar), H''(ubar))``, exact for polynomials and by
-        central differences for tables."""
+        """``(H(ubar), H'(ubar), H''(ubar))``, exact for both kinds.  A table
+        is linear inside each segment (constant beyond its ends); at a knot
+        ``H'`` is undefined and ``ValueError`` is raised."""
         if self.kind == "polynomial":
             poly = np.polynomial.Polynomial(self.data)
             d1 = poly.deriv(1)
@@ -99,11 +100,15 @@ class MobilityProfile:
                 float(d1(ubar)),
                 float(d2(ubar)) if d2 is not None else 0.0,
             )
-        eps = 1e-5
-        h0 = float(self(ubar))
-        hp = float(self(ubar + eps))
-        hm = float(self(ubar - eps))
-        return h0, (hp - hm) / (2 * eps), (hp - 2 * h0 + hm) / eps**2
+        xs, hs = self.data
+        i = int(np.searchsorted(xs, ubar))
+        if i < len(xs) and xs[i] == ubar:
+            raise ValueError(
+                f"ubar = {ubar:g} sits on the table knot s = {xs[i]:g}, where the "
+                "mobility has no derivative; move the knot off ubar"
+            )
+        slope = 0.0 if i in (0, len(xs)) else (hs[i] - hs[i - 1]) / (xs[i] - xs[i - 1])
+        return float(self(ubar)), slope, 0.0
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,9 @@ class MobilitySpec:
     ``h0, h1, h2`` are the value and first two derivatives of ``H`` at the
     mean fraction; the truncated evolution model and the reduced dynamics use
     only these.  ``profile`` optionally carries the full curve ``H(s)`` for
-    the divergence-form simulator.
+    the divergence-form simulator; with a profile, build the spec with
+    `from_profile`, which derives ``h0, h1, h2`` from it (`PhysicalParams`
+    rejects Taylor data that disagree with the profile at its ``ubar``).
     """
 
     h0: float
@@ -158,6 +165,15 @@ class PhysicalParams:
             raise ValueError("alpha must be positive")
         if not 0.0 < self.ubar < 1.0:
             raise ValueError("ubar must lie strictly between 0 and 1")
+        mob = self.mobility
+        if mob.profile is not None and not all(
+            math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+            for a, b in zip((mob.h0, mob.h1, mob.h2), mob.profile.taylor_data(self.ubar))
+        ):
+            raise ValueError(
+                f"mobility h0, h1, h2 = {mob.h0:g}, {mob.h1:g}, {mob.h2:g} disagree with "
+                f"the profile at ubar = {self.ubar:g}; build it with MobilitySpec.from_profile"
+            )
 
 
 class DomainCase(Enum):

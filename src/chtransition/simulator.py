@@ -138,13 +138,6 @@ def _mobility_grid(p: PhysicalParams, u_grid: np.ndarray, rhs: str) -> np.ndarra
     return mob.taylor_value(u_grid)
 
 
-def _mean_mobility(p: PhysicalParams, rhs: str) -> float:
-    mob = p.mobility
-    if rhs == "divergence" and mob.profile is not None:
-        return float(mob.profile(p.ubar))
-    return mob.h0
-
-
 class Stepper:
     """Reusable time stepper bound to one trajectory.
 
@@ -165,8 +158,7 @@ class Stepper:
         self.coeffs_b = derive_coefficients(state.params, state.T)
         self.grid = SpectralGrid(cfg.grid, self.domain)
         self.rho = self.grid.rho
-        h_bar = _mean_mobility(state.params, cfg.rhs)
-        self.beta = -h_bar * (
+        self.beta = -state.params.mobility.h0 * (
             state.params.alpha * self.rho**2 + self.coeffs_b.b1 * self.rho
         )
         lam = self.beta - cfg.stabilization * self.rho**2

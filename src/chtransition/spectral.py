@@ -43,10 +43,6 @@ __all__ = [
 
 Mode = tuple[int, int, int]
 
-# pocketfft threads per transform call; callers that want parallelism run
-# independent solves on a pool instead, so the two levels never nest
-_WORKERS = 1
-
 
 def _check_mode(K) -> Mode:
     k = tuple(int(v) for v in K)
@@ -100,9 +96,9 @@ def _analyze(grid: np.ndarray, band: tuple[int, ...], sine_axis: int | None = No
     c = np.asarray(grid, dtype=float)
     for ax in (2, 1, 0):
         if ax == sine_axis:
-            c = scipy.fft.dst(c, type=2, axis=ax, workers=_WORKERS)
+            c = scipy.fft.dst(c, type=2, axis=ax)
         else:
-            c = scipy.fft.dctn(c, type=2, axes=[ax], workers=_WORKERS)
+            c = scipy.fft.dctn(c, type=2, axes=[ax])
         c = c[(slice(None),) * ax + (slice(0, band[ax]),)]
     return c
 
@@ -116,9 +112,9 @@ def _synthesize(
     for ax in (0, 1, 2):
         n = grid_shape[ax]
         if ax == sine_axis:
-            x = scipy.fft.idst(x, type=2, n=n, axis=ax, workers=_WORKERS)
+            x = scipy.fft.idst(x, type=2, n=n, axis=ax)
         else:
-            x = scipy.fft.idctn(x, type=2, s=[n], axes=[ax], workers=_WORKERS)
+            x = scipy.fft.idctn(x, type=2, s=[n], axes=[ax])
     return x
 
 

@@ -15,6 +15,7 @@ import pytest
 from chtransition import (
     DomainSpec,
     EquilibriumKind,
+    MobilityProfile,
     MobilitySpec,
     PhysicalParams,
     ReducedState,
@@ -117,23 +118,30 @@ def pitchfork(request):
 
 @pytest.fixture(scope="module")
 def mobility_runs(pitchfork):
-    """Criterion-7 payload: the eps = 0.04 quench repeated per mobility."""
+    """Criteria-7/8 payload: the eps = 0.04 quench repeated per mobility,
+    the Taylor ones under the ``taylor`` right-hand side and the genuinely
+    nonlinear full profile in conservative (``divergence``) form."""
     from concurrent.futures import ThreadPoolExecutor
 
     t0 = time.perf_counter()
+    full = MobilityProfile(kind="polynomial", data=(0.6, 1.2, -1.0))
     profiles = {
         "constant": MobilitySpec(h0=1.0),
         "linear": MobilitySpec(h0=1.0, h1=0.5),
         "quadratic": MobilitySpec(h0=1.0, h1=0.3, h2=0.8),
+        "full profile": MobilitySpec.from_profile(full, 0.5),
     }
 
-    def run_profile(mob):
-        params = PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.5, mobility=mob)
-        return _quench_run(params, 0.04, dt=0.05, seed_frac=0.9, steady_tol=1e-5)
+    def run_profile(name):
+        params = PhysicalParams(
+            R=1.0, gamma=1.0, alpha=1.0, ubar=0.5, mobility=profiles[name]
+        )
+        rhs = "divergence" if name == "full profile" else "taylor"
+        return _quench_run(params, 0.04, dt=0.05, seed_frac=0.9, steady_tol=1e-5, rhs=rhs)
 
     names = [n for n in profiles if n != "constant"]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(lambda n: run_profile(profiles[n]), names))
+        results = list(pool.map(run_profile, names))
     runs = {"constant": (pitchfork.run, pitchfork.predicted)}
     runs.update(dict(zip(names, results)))
     elapsed = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,11 +67,48 @@ class TestConfigParsing:
     def test_profile_parsing(self, tmp_path):
         cfg = load_config(_write(tmp_path, BASE))
         assert cfg.physical.mobility.profile is None
-        text = BASE.replace("H0 = 1.0", "H0 = 0.95\nprofile = poly 0.6 1.2 -1.0")
+        text = BASE.replace("H0 = 1.0", "profile = poly 0.6 1.2 -1.0")
         cfg = load_config(_write(tmp_path, text, name="prof.cfg"))
-        prof = cfg.physical.mobility.profile
-        assert prof is not None
-        assert prof(0.5) == pytest.approx(0.95)
+        mob = cfg.physical.mobility
+        assert mob.profile is not None
+        # the Taylor data at ubar come from the profile alone
+        assert (mob.h0, mob.h1, mob.h2) == mob.profile.taylor_data(0.5)
+        assert (mob.h0, mob.h1, mob.h2) == pytest.approx((0.95, 0.2, -2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("key", ["H0", "H1", "H2"])
+    def test_profile_beside_taylor_data_names_the_line(self, tmp_path, capsys, key):
+        text = BASE.replace("H0 = 1.0", f"profile = poly 0.6 1.2 -1.0\n{key} = 0.95")
+        lineno = text.splitlines().index(f"{key} = 0.95") + 1
+        path = _write(tmp_path, text)
+        with pytest.raises(ConfigError, match=f"run.cfg:{lineno}: '{key}'"):
+            load_config(path)
+        assert main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"run.cfg:{lineno}: '{key}'" in capsys.readouterr().err
+
+    def test_table_knot_at_ubar_names_the_profile_line(self, tmp_path, capsys):
+        text = BASE.replace("H0 = 1.0", "profile = table 0:1 0.5:1.2 1:1")
+        lineno = text.splitlines().index("profile = table 0:1 0.5:1.2 1:1") + 1
+        path = _write(tmp_path, text)
+        with pytest.raises(ConfigError, match=f"run.cfg:{lineno}: .*knot s = 0.5"):
+            load_config(path)
+        assert main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"run.cfg:{lineno}:" in capsys.readouterr().err
+
+    def test_readme_config_loads_as_written_and_with_each_profile(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("\n```", 1)[0]
+        lines = block.splitlines()
+        cfg = load_config(_write(tmp_path, block))
+        assert cfg.physical.mobility.profile is None
+        profiles = [line[1:].strip() for line in lines if line.startswith("# profile =")]
+        assert len(profiles) == 2
+        for i, profile in enumerate(profiles):
+            swapped = [line for line in lines if line.split("=")[0].strip() not in ("H0", "H1", "H2")]
+            swapped.insert(swapped.index("[mobility]") + 1, profile)
+            cfg = load_config(_write(tmp_path, "\n".join(swapped), name=f"p{i}.cfg"))
+            mob = cfg.physical.mobility
+            assert mob.profile is not None
+            assert (mob.h0, mob.h1, mob.h2) == mob.profile.taylor_data(cfg.physical.ubar)
 
     def test_physics_validation_becomes_config_error(self, tmp_path):
         broken = BASE.replace("ubar = 0.5", "ubar = 1.5")

@@ -149,9 +149,16 @@ class TestMobilityProfile:
             kind="table", data=((0.0, 0.5, 1.0), (1.0, 1.4, 1.0)), lower_bound=0.5
         )
         assert prof(0.25) == pytest.approx(1.2)
-        h0, h1, _ = prof.taylor_data(0.5)
-        assert h0 == pytest.approx(1.4)
-        assert abs(h1) < 1e-9  # symmetric tent peak
+        # inside a segment the table is linear: exact slope, no curvature
+        assert prof.taylor_data(0.75) == pytest.approx((1.2, -0.8, 0.0), rel=1e-15)
+        assert prof.taylor_data(0.125) == pytest.approx((1.1, 0.8, 0.0), rel=1e-15)
+
+    def test_table_knot_has_no_taylor_data(self):
+        prof = MobilityProfile(
+            kind="table", data=((0.0, 0.5, 1.0), (1.0, 1.4, 1.0)), lower_bound=0.5
+        )
+        with pytest.raises(ValueError, match="knot s = 0.5"):
+            prof.taylor_data(0.5)
 
     def test_lower_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -165,6 +172,21 @@ class TestMobilityProfile:
         mob = MobilitySpec.from_profile(prof, 0.5)
         assert mob.h0 == pytest.approx(0.95)
         assert mob.profile is prof
+        assert PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.5, mobility=mob).mobility is mob
+
+    def test_params_reject_taylor_data_beside_a_disagreeing_profile(self):
+        prof = MobilityProfile(kind="polynomial", data=(0.6, 1.2, -1.0), lower_bound=0.1)
+        for mob in (
+            MobilitySpec(h0=1.0, profile=prof),  # the profile gives 0.95, 0.2, -2
+            MobilitySpec(h0=0.95, h1=0.2, h2=-2.0 + 1e-9, profile=prof),
+        ):
+            with pytest.raises(ValueError, match="MobilitySpec.from_profile"):
+                PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.5, mobility=mob)
+        # the same profile read at another mean fraction disagrees too
+        with pytest.raises(ValueError, match="from_profile"):
+            PhysicalParams(
+                R=1, gamma=1, alpha=1, ubar=0.4, mobility=MobilitySpec.from_profile(prof, 0.5)
+            )
 
 
 class TestDomainSpec:
