@@ -50,7 +50,6 @@ from .params import (
     transition_discriminants,
 )
 from .simulator import (
-    Diagnostics,
     SimResult,
     SimState,
     StepConfig,
@@ -62,7 +61,6 @@ from .simulator import (
     free_energy,
     random_initial_field,
     simulate,
-    step,
 )
 from .spectral import (
     Mode,

@@ -80,12 +80,24 @@ class MobilityProfile:
                 f"lower bound {self.lower_bound:.3g} on {self.sample_range}"
             )
 
-    def __call__(self, s):
+    def __call__(self, s, out=None):
+        """``H(s)``, written into ``out`` (shaped like ``s``) when given.  A
+        polynomial is evaluated in place by Horner's rule, rounded as numpy's
+        ``polyval``."""
         s = np.asarray(s, dtype=float)
         if self.kind == "polynomial":
-            return np.polynomial.polynomial.polyval(s, self.data)
+            out = np.multiply(s, 0.0, out=out)
+            out += self.data[-1]
+            for c in reversed(self.data[:-1]):
+                out *= s
+                out += c
+            return out
         xs, hs = self.data
-        return np.interp(s, xs, hs)
+        h = np.interp(s, xs, hs)
+        if out is None:
+            return h
+        out[...] = h
+        return out
 
     def taylor_data(self, ubar: float) -> tuple[float, float, float]:
         """``(H(ubar), H'(ubar), H''(ubar))``, exact for both kinds.  A table
@@ -137,12 +149,17 @@ class MobilitySpec:
         h0, h1, h2 = profile.taylor_data(ubar)
         return cls(h0=h0, h1=h1, h2=h2, profile=profile)
 
-    def taylor_value(self, s):
+    def taylor_value(self, s, out=None):
         """Quadratic Taylor truncation of ``H`` about the mean fraction,
         as a function of the deviation ``s - ubar`` folded in by the caller
-        (argument is the deviation ``u`` itself)."""
+        (argument is the deviation ``u`` itself), written into ``out``
+        (shaped like ``u``) when given."""
         u = np.asarray(s, dtype=float)
-        return self.h0 + self.h1 * u + 0.5 * self.h2 * u * u
+        # h0 + h1*u + h2/2*u^2, rounded as that expression
+        h = np.multiply(0.5 * self.h2, u, out=out)
+        h *= u
+        h += self.h1 * u + self.h0
+        return h
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,9 @@ from .spectral import Mode, SpectralField, SpectralGrid, integrate_grid
 __all__ = [
     "StepConfig",
     "SimState",
-    "Diagnostics",
     "SimResult",
     "StepRejectedError",
     "Stepper",
-    "step",
     "simulate",
     "free_energy",
     "chemical_potential",
@@ -112,14 +110,6 @@ class SimState:
 
 
 @dataclass(frozen=True)
-class Diagnostics:
-    mass: float
-    energy: float
-    dissipation: float
-    mode_amplitudes: dict[Mode, float]
-
-
-@dataclass(frozen=True)
 class SimResult:
     """Recorded diagnostics of a ``simulate`` run and its final state.
 
@@ -140,28 +130,29 @@ class SimResult:
     converged: bool
     steps_taken: int
 
-    def diagnostics(self, i: int) -> Diagnostics:
-        return Diagnostics(
-            mass=float(self.mass[i]),
-            energy=float(self.energy[i]),
-            dissipation=float(self.dissipation[i]),
-            mode_amplitudes={K: float(v[i]) for K, v in self.amplitudes.items()},
-        )
 
-
-def _mobility_grid(p: PhysicalParams, u_grid: np.ndarray, rhs: str) -> np.ndarray:
+def _mobility_grid(
+    p: PhysicalParams, u_grid: np.ndarray, rhs: str, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``H(ubar + u)`` on the padded grid, written into ``out`` when given:
+    the full profile under ``divergence``, else the quadratic Taylor
+    truncation about ``ubar``.  The samples ``u_grid`` are overwritten."""
     mob = p.mobility
     if rhs == "divergence" and mob.profile is not None:
-        return mob.profile(p.ubar + u_grid)
-    return mob.taylor_value(u_grid)
+        u_grid += p.ubar
+        return mob.profile(u_grid, out=out)
+    return mob.taylor_value(u_grid, out=out)
 
 
 class Stepper:
-    """Reusable time stepper bound to one trajectory.
+    """Reusable time stepper bound to one trajectory in one thread.
 
     Precomputes the diagonal implicit symbols; keeps the previous explicit
     term for the second-order scheme (its first step falls back to the
-    first-order update).
+    first-order update).  It holds every padded-grid array its explicit term
+    needs, each built on first use and reused by every ``step`` and
+    ``advance``, so steady stepping allocates only band-shaped arrays; the
+    held arrays are why a stepper serves one trajectory in one thread.
     """
 
     def __init__(self, state: SimState, cfg: StepConfig) -> None:
@@ -186,6 +177,14 @@ class Stepper:
         self._num2 = 1.0 + 0.5 * dt * lam
         self._stab = cfg.stabilization * self.rho**2
         self._prev_g: np.ndarray | None = None
+        self._work: dict[str, np.ndarray] = {}
+
+    def _padded(self, *names: str) -> list[np.ndarray]:
+        """The held padded-grid arrays of these names, built on first use."""
+        for name in names:
+            if name not in self._work:
+                self._work[name] = np.empty(self.grid.pad_shape)
+        return [self._work[name] for name in names]
 
     # -- explicit part -----------------------------------------------------
 
@@ -199,9 +198,10 @@ class Stepper:
     def _explicit_taylor(self, coeffs: np.ndarray) -> np.ndarray:
         p, b, g = self.params, self.coeffs_b, self.grid
         mob = p.mobility
-        u_grid = g.synthesize(coeffs)
-        u2_grid = u_grid * u_grid
-        poly = b.b3 * u_grid  # b2*u^2 + b3*u^3, in place
+        u_grid, u2_grid, poly = self._padded("u", "u2", "poly")
+        u_grid = g.synthesize(coeffs, out=u_grid)
+        u2_grid = np.multiply(u_grid, u_grid, out=u2_grid)
+        np.multiply(b.b3, u_grid, out=poly)  # b2*u^2 + b3*u^3, in place
         poly += b.b2
         poly *= u2_grid
         out = -mob.h0 * self.rho * g.analyze(poly)
@@ -209,13 +209,21 @@ class Stepper:
         if mob.h1 != 0.0 or mob.h2 != 0.0:
             # one flux for both terms: h1 * u * grad(alpha*Lap(u) - b1*u - b2*u^2)
             # + h2/2 * u^2 * grad(alpha*Lap(u) - b1*u), with grad(u^2) = 2*u*grad(u)
-            # (exact: u^2 is resolved on the padded grid)
-            weight = mob.h1 * u_grid + 0.5 * mob.h2 * u2_grid
-            flux = [weight * d for d in g.gradient((-p.alpha * self.rho - b.b1) * coeffs)]
+            # (exact: u^2 is resolved on the padded grid).  The analysis spent
+            # poly and u is not needed again: they take the weight and its h2
+            # part, u^2 then takes the weight of the b2 term, and the
+            # gradients are weighted in place
+            weight = np.multiply(mob.h1, u_grid, out=poly)
+            weight += np.multiply(0.5 * mob.h2, u2_grid, out=u_grid)
+            flux = g.gradient((-p.alpha * self.rho - b.b1) * coeffs,
+                              out=self._padded("flux0", "flux1", "flux2"))
+            for f in flux:
+                f *= weight
             if mob.h1 != 0.0 and b.b2 != 0.0:
-                sq_weight = 2.0 * mob.h1 * b.b2 * u2_grid
-                for f, d in zip(flux, g.gradient(coeffs)):
-                    f -= sq_weight * d
+                sq_weight = np.multiply(2.0 * mob.h1 * b.b2, u2_grid, out=u2_grid)
+                for f, d in zip(flux, g.gradient(coeffs, out=self._padded("d0", "d1", "d2"))):
+                    d *= sq_weight
+                    f -= d
             out -= g.divergence(flux)
 
         out[0, 0, 0] = 0.0
@@ -223,9 +231,13 @@ class Stepper:
 
     def _explicit_divergence(self, coeffs: np.ndarray) -> np.ndarray:
         p, g = self.params, self.grid
-        mu_hat, u_grid = _potential(g, coeffs, p.alpha, self.coeffs_b)
-        h_grid = _mobility_grid(p, u_grid, "divergence")
-        flux = [h_grid * d for d in g.gradient(mu_hat)]
+        u_grid, poly = self._padded("u", "poly")
+        mu_hat, u_grid = _potential(g, coeffs, p.alpha, self.coeffs_b, u_grid, poly)
+        # the analysis spent poly, which now holds the mobility
+        h_grid = _mobility_grid(p, u_grid, "divergence", out=poly)
+        flux = g.gradient(mu_hat, out=self._padded("flux0", "flux1", "flux2"))
+        for f in flux:
+            f *= h_grid
         rhs = g.divergence(flux)
         rhs[0, 0, 0] = 0.0
         return rhs - self.beta * coeffs
@@ -272,11 +284,6 @@ class Stepper:
             T=state.T,
             params=state.params,
         )
-
-
-def step(s: SimState, c: StepConfig) -> SimState:
-    """Advance one step.  For repeated stepping build a ``Stepper`` once."""
-    return Stepper(s, c).step(s)
 
 
 def simulate(
@@ -447,12 +454,18 @@ def free_energy(s: SimState) -> float:
 
 
 def _potential(
-    g: SpectralGrid, coeffs: np.ndarray, alpha: float, b: Coefficients
+    g: SpectralGrid,
+    coeffs: np.ndarray,
+    alpha: float,
+    b: Coefficients,
+    u_grid: np.ndarray | None = None,
+    poly: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Band coefficients of the chemical potential (zero mode dropped) and
-    the padded-grid samples of ``u`` used to form them."""
-    u_grid = g.synthesize(coeffs)
-    poly = b.b3 * u_grid  # b2*u^2 + b3*u^3, in place
+    the padded-grid samples of ``u`` used to form them, written into
+    ``u_grid`` when given; ``poly``, when given, is padded scratch."""
+    u_grid = g.synthesize(coeffs, out=u_grid)
+    poly = np.multiply(b.b3, u_grid, out=poly)  # b2*u^2 + b3*u^3, in place
     poly += b.b2
     poly *= u_grid
     poly *= u_grid
@@ -477,8 +490,14 @@ def dissipation(s: SimState, rhs: str = "taylor") -> float:
     dynamics of the matching right-hand side."""
     g = SpectralGrid(s.u.grid_shape, s.domain)
     mu, u_grid = _potential(g, s.u.coeffs, s.params.alpha, derive_coefficients(s.params, s.T))
-    h_grid = _mobility_grid(s.params, u_grid, rhs)
-    density = h_grid * sum(d * d for d in g.gradient(mu))
+    density = _mobility_grid(s.params, u_grid, rhs)
+    # H * |grad(mu)|^2, summed in place in the order of sum(d * d for d in ...)
+    grad_sq, *rest = g.gradient(mu)
+    grad_sq *= grad_sq
+    for d in rest:
+        d *= d
+        grad_sq += d
+    density *= grad_sq
     return -integrate_grid(density, s.domain)
 
 

@@ -86,35 +86,42 @@ def collocation_points(n: int, length: float) -> np.ndarray:
 # transforms run one axis at a time and are unscaled; `_norm` holds the
 # scaling.  Synthesis zero-extends one axis per pass and analysis truncates
 # after each pass, so no pass transforms lines that are all zero (FFT
-# pruning).
+# pruning).  Every pass runs in place (``overwrite_x`` and no ``s``/``n``:
+# zero-extension by scipy would copy), so a caller that holds the arrays
+# allocates nothing on the padded grid.
 # ---------------------------------------------------------------------------
 
 
 def _analyze(grid: np.ndarray, band: tuple[int, ...], sine_axis: int | None = None) -> np.ndarray:
     """Unscaled DCT-II (DST-II along ``sine_axis``) of the samples, keeping
-    the first ``band[ax]`` outputs of each axis before the next pass."""
-    c = np.asarray(grid, dtype=float)
+    the first ``band[ax]`` outputs of each axis before the next pass.  The
+    passes run in place on ``grid``; the result is a view into it."""
+    c = grid
     for ax in (2, 1, 0):
         if ax == sine_axis:
-            c = scipy.fft.dst(c, type=2, axis=ax)
+            c = scipy.fft.dst(c, type=2, axis=ax, overwrite_x=True)
         else:
-            c = scipy.fft.dctn(c, type=2, axes=[ax])
+            c = scipy.fft.dctn(c, type=2, axes=[ax], overwrite_x=True)
         c = c[(slice(None),) * ax + (slice(0, band[ax]),)]
     return c
 
 
 def _synthesize(
-    coeffs: np.ndarray, grid_shape: tuple[int, ...], sine_axis: int | None = None
+    coeffs: np.ndarray, passes: list[np.ndarray], sine_axis: int | None = None
 ) -> np.ndarray:
-    """Unscaled inverse of `_analyze`: samples on ``grid_shape``, each pass
-    zero-extending one axis of the coefficients to its grid size."""
+    """Unscaled inverse of `_analyze`.  ``passes[ax]`` receives the pass
+    along axis ``ax`` (its shape is the grid size up to that axis and the
+    coefficients' size after it): the previous result goes into its front,
+    its tail is zeroed and the pass runs in place.  Returns the last one."""
     x = coeffs
-    for ax in (0, 1, 2):
-        n = grid_shape[ax]
+    for ax, buf in enumerate(passes):
+        n = x.shape[ax]
+        buf[(slice(None),) * ax + (slice(0, n),)] = x
+        buf[(slice(None),) * ax + (slice(n, None),)] = 0.0
         if ax == sine_axis:
-            x = scipy.fft.idst(x, type=2, n=n, axis=ax)
+            x = scipy.fft.idst(buf, type=2, axis=ax, overwrite_x=True)
         else:
-            x = scipy.fft.idctn(x, type=2, s=[n], axes=[ax])
+            x = scipy.fft.idctn(buf, type=2, axes=[ax], overwrite_x=True)
     return x
 
 
@@ -153,6 +160,12 @@ class SpectralGrid:
     are the wavenumbers ``j*pi/L_a`` along axis ``a`` up to the padded size,
     ``rho`` is the Neumann-Laplacian eigenvalue of every band mode, and the
     transform scales are built on first use.
+
+    The transforms run in place.  Synthesis and the gradient write into
+    caller-owned padded arrays (``out``; fresh ones without it) through the
+    grid's own two intermediate pass arrays, built on first use; analysis
+    and the divergence use their padded-grid input as scratch and overwrite
+    it.  Because of the pass arrays, one grid serves one thread at a time.
     """
 
     def __init__(self, shape: tuple[int, int, int], domain: DomainSpec) -> None:
@@ -168,6 +181,7 @@ class SpectralGrid:
         for a in (*self.k, self.rho):
             a.flags.writeable = False
         self._scales: dict[tuple[bool, int | None], np.ndarray] = {}
+        self._pass_arrays: list[np.ndarray] = []
 
     def _scale(self, inverse: bool, sine_axis: int | None = None) -> np.ndarray:
         """`_norm` for this grid's band (one slot shorter along the sine
@@ -181,30 +195,49 @@ class SpectralGrid:
             self._scales[key] = w
         return self._scales[key]
 
+    def _synthesize_into(
+        self, coeffs: np.ndarray, out: np.ndarray | None, sine_axis: int | None = None
+    ) -> np.ndarray:
+        """`_synthesize` through views of the two held intermediate pass
+        arrays (built on first use) into ``out`` (fresh when ``None``)."""
+        if not self._pass_arrays:
+            self._pass_arrays = [
+                np.empty(self.pad_shape[: ax + 1] + self.shape[ax + 1 :]) for ax in (0, 1)
+            ]
+        passes = [
+            a[tuple(slice(0, m) for m in self.pad_shape[: ax + 1] + coeffs.shape[ax + 1 :])]
+            for ax, a in enumerate(self._pass_arrays)
+        ]
+        passes.append(np.empty(self.pad_shape) if out is None else out)
+        return _synthesize(coeffs, passes, sine_axis)
+
     def padded(self, coeffs: np.ndarray) -> np.ndarray:
         """Band coefficients zero-extended to the padded shape."""
         out = np.zeros(self.pad_shape)
         out[: coeffs.shape[0], : coeffs.shape[1], : coeffs.shape[2]] = coeffs
         return out
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Samples of band coefficients on the padded midpoint grid."""
-        return _synthesize(coeffs * self._scale(True), self.pad_shape)
+    def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Samples of band coefficients on the padded midpoint grid, written
+        into ``out`` when given."""
+        return self._synthesize_into(coeffs * self._scale(True), out)
 
     def analyze(self, grid: np.ndarray) -> np.ndarray:
-        """Band coefficients of samples on the padded grid."""
-        return _analyze(grid, self.shape) * self._scale(False)
+        """Band coefficients of samples on the padded grid; the samples are
+        overwritten."""
+        return _analyze(np.asarray(grid, dtype=float), self.shape) * self._scale(False)
 
-    def gradient(self, coeffs: np.ndarray) -> list[np.ndarray]:
+    def gradient(
+        self, coeffs: np.ndarray, out: list[np.ndarray] | None = None
+    ) -> list[np.ndarray]:
         """The three partial derivatives of band coefficients sampled on the
-        padded grid; each is a sine series along its own axis."""
+        padded grid, written into the three arrays of ``out`` when given;
+        each is a sine series along its own axis."""
         return [
-            _synthesize(
-                coeffs[(slice(None),) * ax + (slice(1, None),)] * self._scale(True, ax),
-                self.pad_shape,
-                sine_axis=ax,
+            self._synthesize_into(
+                coeffs[(slice(None),) * ax + (slice(1, None),)] * self._scale(True, ax), o, ax
             )
-            for ax in range(3)
+            for ax, o in enumerate([None] * 3 if out is None else out)
         ]
 
     def gradient_norm_sq(self, coeffs: np.ndarray) -> float:
@@ -213,9 +246,9 @@ class SpectralGrid:
         return float((self.rho * coeffs * coeffs * _norm_weights(self.shape, self.domain)).sum())
 
     def divergence(self, flux: list[np.ndarray]) -> np.ndarray:
-        """Band coefficients of ``div(flux)`` from padded-grid samples; flux
-        component ``a`` is a sine series along axis ``a``.  The result has
-        exactly zero mean."""
+        """Band coefficients of ``div(flux)`` from padded-grid samples, which
+        are overwritten; flux component ``a`` is a sine series along axis
+        ``a``.  The result has exactly zero mean."""
         total = np.zeros(self.shape)
         for ax, f in enumerate(flux):
             w = self._scale(False, ax)
@@ -303,7 +336,7 @@ def forward_transform(grid: np.ndarray, d: DomainSpec) -> SpectralField:
 
     The samples must have (numerically) zero mean.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = np.array(grid, dtype=float)  # the transform overwrites its input
     if grid.ndim != 3:
         raise ValueError(f"expected a three-dimensional grid, got shape {grid.shape}")
     return SpectralField(_analyze(grid, grid.shape) * _norm(grid.shape, grid.shape, False), d)
@@ -311,8 +344,9 @@ def forward_transform(grid: np.ndarray, d: DomainSpec) -> SpectralField:
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
     """Synthesise the field on its midpoint collocation grid."""
-    shape = f.grid_shape
-    return _synthesize(f.coeffs * _norm(shape, shape, True), shape)
+    x = f.coeffs * _norm(f.grid_shape, f.grid_shape, True)
+    # the grid is the band: every pass runs in place on x
+    return _synthesize(x, [x, x, x])
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def pitchfork(request):
 
     def point(eps):
         res, _ = _quench_run(P_SYM, eps, seed_frac=0.9, steady_tol=1e-6)
-        return abs(res.amplitudes[(1, 0, 0)][-1])
+        return abs(res.final_state.projection((1, 0, 0)))
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         amps = np.array(list(pool.map(point, eps_grid)))
@@ -291,7 +291,7 @@ def test_criterion_5_straight_line_orbits():
 
 
 def test_criterion_6_pitchfork_amplitude_law(pitchfork):
-    terminal = abs(pitchfork.run.amplitudes[(1, 0, 0)][-1])
+    terminal = abs(pitchfork.run.final_state.projection((1, 0, 0)))
     rel_err = abs(terminal - pitchfork.predicted) / pitchfork.predicted
     slope_ok = abs(pitchfork.slope - 0.5) <= 0.02
     _report(
@@ -312,7 +312,7 @@ def test_criterion_7_mobility_independence(mobility_runs):
         p = PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.5, mobility=mob)
         reports[name] = classify_transition(p, D1).as_dict()
     exact = all(reports[n] == reports["constant"] for n in reports)
-    amps = {n: abs(r.amplitudes[(1, 0, 0)][-1]) for n, (r, _) in runs.items()}
+    amps = {n: abs(r.final_state.projection((1, 0, 0))) for n, (r, _) in runs.items()}
     spread = (max(amps.values()) - min(amps.values())) / amps["constant"]
     elapsed = mobility_runs["elapsed"]
     _report(

@@ -21,10 +21,10 @@ from chtransition import (
     PhysicalParams,
     SimState,
     StepConfig,
+    Stepper,
     critical_temperature,
     free_energy,
     random_initial_field,
-    step,
     transition_discriminants,
 )
 
@@ -55,7 +55,7 @@ def test_divergence_step_dissipates_and_pins_mass(profile, ubar, quench, seed):
     T = quench * critical_temperature(p, D)
     u0 = random_initial_field(D, GRID, 0.05, np.random.default_rng(seed), band_limit=3)
     s0 = SimState(u=u0, t=0.0, T=T, params=p)
-    s1 = step(s0, StepConfig(dt=1e-3, grid=GRID, rhs="divergence"))
+    s1 = Stepper(s0, StepConfig(dt=1e-3, grid=GRID, rhs="divergence")).step(s0)
     e0, e1 = free_energy(s0), free_energy(s1)
     assert e1 - e0 <= 1e-8 * (1.0 + max(abs(e0), abs(e1)))
     assert s1.mass == 0.0

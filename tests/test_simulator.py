@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +27,6 @@ from chtransition import (
     laplacian_eigenvalue,
     random_initial_field,
     simulate,
-    step,
 )
 from chtransition.spectral import (
     SpectralGrid,
@@ -62,7 +64,7 @@ class TestLinearRegime:
         cfg = StepConfig(dt=dt, grid=(16, 16, 16))
         modes = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 0, 0)]
         s0 = _state({K: 1e-7 for K in modes}, grid=(16, 16, 16))
-        s1 = step(s0, cfg)
+        s1 = Stepper(s0, cfg).step(s0)
         for K in modes:
             beta = growth_rate(K, s0.T, P, D)
             factor = s1.u.amplitude(K) / 1e-7
@@ -283,8 +285,10 @@ class TestSchemes:
             u=field_from_modes({(1, 0, 0): 0.1, (0, 1, 0): 0.05}, SMALL, D),
             t=0.0, T=0.24, params=p,
         )
-        out_t = step(s, StepConfig(dt=0.01, grid=SMALL, rhs="taylor"))
-        out_d = step(s, StepConfig(dt=0.01, grid=SMALL, rhs="divergence"))
+        out_t, out_d = (
+            Stepper(s, StepConfig(dt=0.01, grid=SMALL, rhs=rhs)).step(s)
+            for rhs in ("taylor", "divergence")
+        )
         assert np.abs(out_t.u.coeffs - out_d.u.coeffs).max() < 1e-13
 
     def test_stabilization_preserves_fixed_point(self):
@@ -434,6 +438,92 @@ class TestTaylorFlux:
         expect -= p.mobility.h1 * g.divergence(flux1) + 0.5 * p.mobility.h2 * g.divergence(flux2)
         expect[0, 0, 0] = 0.0
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+class TestHeldArrays:
+    """A stepper holds its padded-grid arrays: steady stepping allocates
+    none, and reusing them carries no state from one call to the next.  The
+    cases are the diagnostic references' (b2 != 0 in both non-h0 cases)."""
+
+    GRID = (10, 12, 14)
+    CASES = TestDiagnosticReferences.CASES
+
+    def _stepper(self, case, scheme="imex1", seed=3):
+        p, rhs = self.CASES[case]
+        u = random_initial_field(D, self.GRID, 0.1, np.random.default_rng(seed))
+        s = SimState(u=u, t=0.0, T=0.2, params=p)
+        return Stepper(s, StepConfig(dt=2e-3, grid=self.GRID, scheme=scheme, rhs=rhs)), s
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_steady_stepping_allocates_no_padded_array(self, case, scheme):
+        padded_bytes = np.empty(tuple(2 * n for n in self.GRID)).nbytes
+        tracemalloc.start()
+        try:
+            stepper, s = self._stepper(case, scheme)
+            for _ in range(2):
+                s = stepper.step(s)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                s = stepper.step(s)
+            step_peak = tracemalloc.get_traced_memory()[1] - base
+
+            c = s.u.coeffs
+            for _ in range(2):
+                c = stepper.advance(c)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                c = stepper.advance(c)
+            advance_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert step_peak < padded_bytes
+        assert advance_peak < padded_bytes
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_reuse_carries_no_state_between_calls(self, case):
+        stepper, s = self._stepper(case)
+        c1 = s.u.coeffs
+        c2 = random_initial_field(D, self.GRID, 0.2, np.random.default_rng(11)).coeffs
+        first = stepper.advance(c1)
+        stepper.advance(c2)
+        assert np.array_equal(stepper.advance(c1), first)
+
+    def test_interleaved_threads_reproduce_sequential_runs(self):
+        steps = 15
+        cases = [(case, scheme) for case in self.CASES for scheme in ("imex1", "imex2")]
+
+        def run(case, scheme, before_step=lambda: None):
+            stepper, s = self._stepper(case, scheme)
+            for _ in range(steps):
+                before_step()
+                s = stepper.step(s)
+            return s.u.coeffs
+
+        expect = [run(*c) for c in cases]
+        # every thread waits for all the others before each step, so the
+        # steps of all steppers interleave
+        barrier = threading.Barrier(len(cases), timeout=60)
+        got = [None] * len(cases)
+
+        def worker(i):
+            got[i] = run(*cases[i], before_step=barrier.wait)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, e in zip(got, expect):
+            assert g is not None and np.array_equal(g, e)
 
 
 class TestSpectralResolution:
