@@ -57,7 +57,6 @@ from .simulator import (
     Stepper,
     chemical_potential,
     dissipation,
-    field_from_modes,
     free_energy,
     random_initial_field,
     simulate,
@@ -66,6 +65,7 @@ from .spectral import (
     Mode,
     SpectralField,
     eval_mode,
+    field_from_modes,
     forward_transform,
     grad_triple_product,
     inverse_transform,

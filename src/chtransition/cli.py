@@ -28,11 +28,10 @@ from .simulator import (
     SimState,
     StepConfig,
     StepRejectedError,
-    field_from_modes,
     random_initial_field,
     simulate,
 )
-from .spectral import inverse_transform, save_grid
+from .spectral import field_from_modes, inverse_transform, save_grid
 
 # ConfigError is caught first in main(); any other ValueError from the
 # numerics (no supercritical regime, marginal discriminant, wrong side,

@@ -153,12 +153,15 @@ class MobilitySpec:
         """Quadratic Taylor truncation of ``H`` about the mean fraction,
         as a function of the deviation ``s - ubar`` folded in by the caller
         (argument is the deviation ``u`` itself), written into ``out``
-        (shaped like ``u``) when given."""
+        (shaped like ``u``) when given; ``u`` then serves as scratch and is
+        overwritten."""
         u = np.asarray(s, dtype=float)
         # h0 + h1*u + h2/2*u^2, rounded as that expression
         h = np.multiply(0.5 * self.h2, u, out=out)
         h *= u
-        h += self.h1 * u + self.h0
+        linear = np.multiply(self.h1, u, out=None if out is None else u)
+        linear += self.h0
+        h += linear
         return h
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linstab import critical_set
-from .params import Coefficients, DomainSpec, PhysicalParams, derive_coefficients
+from .params import DomainSpec, PhysicalParams, derive_coefficients
 from .spectral import Mode, SpectralField, SpectralGrid, integrate_grid
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "chemical_potential",
     "dissipation",
     "random_initial_field",
-    "field_from_modes",
 ]
 
 
@@ -131,28 +130,17 @@ class SimResult:
     steps_taken: int
 
 
-def _mobility_grid(
-    p: PhysicalParams, u_grid: np.ndarray, rhs: str, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``H(ubar + u)`` on the padded grid, written into ``out`` when given:
-    the full profile under ``divergence``, else the quadratic Taylor
-    truncation about ``ubar``.  The samples ``u_grid`` are overwritten."""
-    mob = p.mobility
-    if rhs == "divergence" and mob.profile is not None:
-        u_grid += p.ubar
-        return mob.profile(u_grid, out=out)
-    return mob.taylor_value(u_grid, out=out)
-
-
 class Stepper:
     """Reusable time stepper bound to one trajectory in one thread.
 
     Precomputes the diagonal implicit symbols; keeps the previous explicit
     term for the second-order scheme (its first step falls back to the
     first-order update).  It holds every padded-grid array its explicit term
-    needs, each built on first use and reused by every ``step`` and
-    ``advance``, so steady stepping allocates only band-shaped arrays; the
-    held arrays are why a stepper serves one trajectory in one thread.
+    and the diagnostics (`free_energy`, `dissipation`, `chemical_potential`)
+    need, each built on first use and reused by every ``step``, ``advance``
+    and diagnostic, so steady stepping and recording allocate only
+    band-shaped arrays; the held arrays are why a stepper serves one
+    trajectory in one thread.
     """
 
     def __init__(self, state: SimState, cfg: StepConfig) -> None:
@@ -185,6 +173,34 @@ class Stepper:
             if name not in self._work:
                 self._work[name] = np.empty(self.grid.pad_shape)
         return [self._work[name] for name in names]
+
+    def _potential(self, coeffs: np.ndarray) -> np.ndarray:
+        """Band coefficients of the chemical potential (zero mode dropped).
+        Leaves the samples of ``coeffs`` in the held ``u``; spends ``poly``."""
+        b, g = self.coeffs_b, self.grid
+        u_grid, poly = self._padded("u", "poly")
+        g.synthesize(coeffs, out=u_grid)
+        np.multiply(b.b3, u_grid, out=poly)  # b2*u^2 + b3*u^3, in place
+        poly += b.b2
+        poly *= u_grid
+        poly *= u_grid
+        mu = (self.params.alpha * self.rho + b.b1) * coeffs + g.analyze(poly)
+        # the polynomial part may carry a mean; the potential is defined up to a
+        # constant, so drop it
+        mu[0, 0, 0] = 0.0
+        return mu
+
+    def _mobility_grid(self) -> np.ndarray:
+        """``H(ubar + u)`` of the samples in the held ``u``, written into the
+        held ``poly``: the full profile under ``divergence``, else the
+        quadratic Taylor truncation about ``ubar``.  Overwrites ``u``."""
+        p = self.params
+        mob = p.mobility
+        u_grid, out = self._padded("u", "poly")
+        if self.cfg.rhs == "divergence" and mob.profile is not None:
+            u_grid += p.ubar
+            return mob.profile(u_grid, out=out)
+        return mob.taylor_value(u_grid, out=out)
 
     # -- explicit part -----------------------------------------------------
 
@@ -230,11 +246,9 @@ class Stepper:
         return out
 
     def _explicit_divergence(self, coeffs: np.ndarray) -> np.ndarray:
-        p, g = self.params, self.grid
-        u_grid, poly = self._padded("u", "poly")
-        mu_hat, u_grid = _potential(g, coeffs, p.alpha, self.coeffs_b, u_grid, poly)
-        # the analysis spent poly, which now holds the mobility
-        h_grid = _mobility_grid(p, u_grid, "divergence", out=poly)
+        g = self.grid
+        mu_hat = self._potential(coeffs)
+        h_grid = self._mobility_grid()
         flux = g.gradient(mu_hat, out=self._padded("flux0", "flux1", "flux2"))
         for f in flux:
             f *= h_grid
@@ -324,8 +338,8 @@ def simulate(
     def record(s: SimState) -> None:
         times.append(s.t)
         mass.append(s.mass)
-        energy.append(free_energy(s))
-        dissip.append(dissipation(s, rhs=cfg.rhs))
+        energy.append(free_energy(stepper, s.u.coeffs))
+        dissip.append(dissipation(stepper, s.u.coeffs))
         for K in track_modes:
             amps[K].append(s.projection(K))
 
@@ -432,84 +446,58 @@ def _gmres(matvec, b: np.ndarray, rtol: float, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def free_energy(s: SimState) -> float:
-    """Quartic free energy of the deviation field at the state's
-    temperature.  The gradient part comes from the coefficients by Parseval
-    (`SpectralGrid.gradient_norm_sq`); the potential part is the midpoint
-    quadrature of one synthesis on the padded grid, exact for the quartic
-    of a band-limited field."""
-    b = derive_coefficients(s.params, s.T)
-    g = SpectralGrid(s.u.grid_shape, s.domain)
-    u_grid = g.synthesize(s.u.coeffs)
+def free_energy(stepper: Stepper, coeffs: np.ndarray) -> float:
+    """Quartic free energy of the deviation field ``coeffs`` at the
+    stepper's temperature.  The gradient part comes from the coefficients by
+    Parseval (`SpectralGrid.gradient_norm_sq`); the potential part is the
+    midpoint quadrature of one synthesis into the stepper's held padded
+    arrays, exact for the quartic of a band-limited field.  Call it from the
+    stepper's own thread."""
+    b, g = stepper.coeffs_b, stepper.grid
+    u_grid, density = stepper._padded("u", "poly")
+    g.synthesize(coeffs, out=u_grid)
     # b1/2*u^2 + b2/3*u^3 + b3/4*u^4 by Horner, in place
-    density = 0.25 * b.b3 * u_grid
+    np.multiply(0.25 * b.b3, u_grid, out=density)
     density += b.b2 / 3.0
     density *= u_grid
     density += 0.5 * b.b1
     density *= u_grid
     density *= u_grid
-    return 0.5 * s.params.alpha * g.gradient_norm_sq(s.u.coeffs) + integrate_grid(
-        density, s.domain
+    return 0.5 * stepper.params.alpha * g.gradient_norm_sq(coeffs) + integrate_grid(
+        density, stepper.domain
     )
 
 
-def _potential(
-    g: SpectralGrid,
-    coeffs: np.ndarray,
-    alpha: float,
-    b: Coefficients,
-    u_grid: np.ndarray | None = None,
-    poly: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Band coefficients of the chemical potential (zero mode dropped) and
-    the padded-grid samples of ``u`` used to form them, written into
-    ``u_grid`` when given; ``poly``, when given, is padded scratch."""
-    u_grid = g.synthesize(coeffs, out=u_grid)
-    poly = np.multiply(b.b3, u_grid, out=poly)  # b2*u^2 + b3*u^3, in place
-    poly += b.b2
-    poly *= u_grid
-    poly *= u_grid
-    mu = (alpha * g.rho + b.b1) * coeffs + g.analyze(poly)
-    # the polynomial part may carry a mean; the potential is defined up to a
-    # constant, so drop it
-    mu[0, 0, 0] = 0.0
-    return mu, u_grid
-
-
-def chemical_potential(s: SimState) -> SpectralField:
+def chemical_potential(stepper: Stepper, coeffs: np.ndarray) -> SpectralField:
     """Variational derivative of the free energy, truncated to the field's
-    band: ``-alpha*Lap(u) + b1*u + b2*u^2 + b3*u^3``."""
-    g = SpectralGrid(s.u.grid_shape, s.domain)
-    mu, _ = _potential(g, s.u.coeffs, s.params.alpha, derive_coefficients(s.params, s.T))
-    return SpectralField(mu, s.domain)
+    band: ``-alpha*Lap(u) + b1*u + b2*u^2 + b3*u^3``.  Call it from the
+    stepper's own thread."""
+    return SpectralField(stepper._potential(coeffs), stepper.domain)
 
 
-def dissipation(s: SimState, rhs: str = "taylor") -> float:
+def dissipation(stepper: Stepper, coeffs: np.ndarray) -> float:
     """Free-energy production rate ``-integral(H |grad(mu)|^2)`` (never
-    positive); equals the time derivative of the free energy along exact
-    dynamics of the matching right-hand side."""
-    g = SpectralGrid(s.u.grid_shape, s.domain)
-    mu, u_grid = _potential(g, s.u.coeffs, s.params.alpha, derive_coefficients(s.params, s.T))
-    density = _mobility_grid(s.params, u_grid, rhs)
+    positive), with the mobility of the stepper's right-hand side.  It is
+    the time derivative of the free energy along exact dynamics under
+    ``divergence`` and under ``taylor`` with h0 only.  The ``taylor`` form
+    with h1 or h2 is not a gradient flow, so there the free energy can rise
+    and this is no energy rate.  Call it from the stepper's own thread."""
+    g = stepper.grid
+    mu = stepper._potential(coeffs)
+    density = stepper._mobility_grid()
     # H * |grad(mu)|^2, summed in place in the order of sum(d * d for d in ...)
-    grad_sq, *rest = g.gradient(mu)
+    grad_sq, *rest = g.gradient(mu, out=stepper._padded("flux0", "flux1", "flux2"))
     grad_sq *= grad_sq
     for d in rest:
         d *= d
         grad_sq += d
     density *= grad_sq
-    return -integrate_grid(density, s.domain)
+    return -integrate_grid(density, stepper.domain)
 
 
 # ---------------------------------------------------------------------------
 # initial data
 # ---------------------------------------------------------------------------
-
-
-def field_from_modes(
-    amplitudes: dict[Mode, float], grid: tuple[int, int, int], d: DomainSpec
-) -> SpectralField:
-    return SpectralField.from_modes(amplitudes, grid, d)
 
 
 def random_initial_field(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 import scipy.fft
@@ -27,6 +26,7 @@ __all__ = [
     "Mode",
     "SpectralField",
     "SpectralGrid",
+    "field_from_modes",
     "laplacian_eigenvalue",
     "eval_mode",
     "forward_transform",
@@ -38,7 +38,6 @@ __all__ = [
     "integrate_grid",
     "save_grid",
     "load_grid",
-    "grid_to_csv",
 ]
 
 Mode = tuple[int, int, int]
@@ -51,6 +50,20 @@ def _check_mode(K) -> Mode:
     if k == (0, 0, 0):
         raise ValueError("the zero mode is excluded by the zero-mean constraint")
     return k
+
+
+def field_from_modes(
+    amplitudes: dict[Mode, float], shape: tuple[int, int, int], d: DomainSpec
+) -> SpectralField:
+    """The field on the band ``shape`` with these mode amplitudes and every
+    other coefficient zero."""
+    coeffs = np.zeros(shape)
+    for K, a in amplitudes.items():
+        k = _check_mode(K)
+        if any(ki >= n for ki, n in zip(k, shape)):
+            raise ValueError(f"mode {k} does not fit in grid shape {shape}")
+        coeffs[k] = a
+    return SpectralField(coeffs, d)
 
 
 def laplacian_eigenvalue(K: Mode, d: DomainSpec) -> float:
@@ -219,7 +232,10 @@ class SpectralGrid:
 
     def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Samples of band coefficients on the padded midpoint grid, written
-        into ``out`` when given."""
+        into ``out`` when given.  Coefficients of another shape are rejected,
+        also where they would broadcast against the band."""
+        if coeffs.shape != self.shape:
+            raise ValueError(f"coefficients of shape {coeffs.shape} on the band {self.shape}")
         return self._synthesize_into(coeffs * self._scale(True), out)
 
     def analyze(self, grid: np.ndarray) -> np.ndarray:
@@ -301,18 +317,6 @@ class SpectralField:
     @classmethod
     def zeros(cls, shape: tuple[int, int, int], d: DomainSpec) -> "SpectralField":
         return cls(np.zeros(shape), d)
-
-    @classmethod
-    def from_modes(
-        cls, amplitudes: dict[Mode, float], shape: tuple[int, int, int], d: DomainSpec
-    ) -> "SpectralField":
-        coeffs = np.zeros(shape)
-        for K, a in amplitudes.items():
-            k = _check_mode(K)
-            if any(ki >= n for ki, n in zip(k, shape)):
-                raise ValueError(f"mode {k} does not fit in grid shape {shape}")
-            coeffs[k] = a
-        return cls(coeffs, d)
 
     def amplitude(self, K: Mode) -> float:
         return float(self.coeffs[_check_mode(K)])
@@ -422,7 +426,7 @@ def mode_l2_norm_sq(K: Mode, d: DomainSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# grid serialisation: flat binary with a dims header, CSV for small grids
+# grid serialisation: flat binary with a dims header
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"CHGRID1\x00"
@@ -444,12 +448,3 @@ def load_grid(path) -> np.ndarray:
         dims = np.fromfile(fh, dtype=np.int64, count=3)
         data = np.fromfile(fh, dtype=np.float64, count=int(np.prod(dims)))
     return data.reshape(tuple(dims))
-
-
-def grid_to_csv(path, grid: np.ndarray) -> None:
-    grid = np.asarray(grid, dtype=float)
-    with open(path, "w") as fh:
-        fh.write("# dims: {} {} {}\n".format(*grid.shape))
-        fh.write("i1,i2,i3,value\n")
-        for idx in product(*(range(n) for n in grid.shape)):
-            fh.write("{},{},{},{:.17g}\n".format(*idx, grid[idx]))

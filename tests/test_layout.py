@@ -63,26 +63,71 @@ def test_transforms_go_through_the_traced_entry_points(monkeypatch):
     grid = (6, 7, 8)
     u = random_initial_field(d, grid, 0.05, np.random.default_rng(1))
     s = SimState(u=u, t=0.0, T=0.2, params=p)
-    for rhs in ("taylor", "divergence"):
-        Stepper(s, StepConfig(dt=0.01, grid=grid, rhs=rhs)).step(s)
-        dissipation(s, rhs=rhs)
+    steppers = {
+        rhs: Stepper(s, StepConfig(dt=0.01, grid=grid, rhs=rhs))
+        for rhs in ("taylor", "divergence")
+    }
+    for stepper in steppers.values():
+        stepper.step(s)
+        dissipation(stepper, u.coeffs)
     s_h0 = SimState(u=u, t=0.0, T=0.2, params=PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.4))
     Stepper(s_h0, StepConfig(dt=0.01, grid=grid)).step(s_h0)
-    free_energy(s)
+    free_energy(steppers["taylor"], u.coeffs)
     assert all(calls.values()), calls
 
     # one-axis calls per diagnostic: free_energy synthesises u once (3) and
     # takes its gradient energy from the coefficients; dissipation
     # synthesises u (3), analyses the potential (3) and synthesises its
     # gradient (9)
-    for diagnostic, expect in (
-        (free_energy, 3),
-        (lambda s: dissipation(s, rhs="taylor"), 15),
-        (lambda s: dissipation(s, rhs="divergence"), 15),
+    for diagnostic, rhs, expect in (
+        (free_energy, "taylor", 3),
+        (dissipation, "taylor", 15),
+        (dissipation, "divergence", 15),
     ):
         calls.update(dict.fromkeys(calls, 0))
-        diagnostic(s)
+        diagnostic(steppers[rhs], u.coeffs)
         assert sum(calls.values()) == expect, calls
+
+
+def _stepper_private_names() -> set[str]:
+    """The ``_`` methods ``Stepper`` defines and the ``self._x`` attributes
+    it assigns (dunder names excluded)."""
+    tree = ast.parse((SRC / "simulator.py").read_text())
+    cls = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Stepper"
+    )
+    names = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    for node in ast.walk(cls):
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign)
+            else []
+        )
+        names.update(
+            target.attr for target in targets
+            if isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name) and target.value.id == "self"
+        )
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_no_private_stepper_attribute_read_outside_simulator():
+    # the stepper's held arrays and implicit symbols are its own; callers
+    # go through step, advance, explicit_term and the diagnostics
+    private = _stepper_private_names()
+    assert {"_padded", "_prev_g", "_work"} <= private
+    root = SRC.parents[1]
+    offences = []
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            if path == SRC / "simulator.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Attribute) and node.attr in private:
+                    offences.append(f"{path.relative_to(root)}:{node.lineno}: .{node.attr}")
+    assert not offences, "private Stepper names read outside simulator.py:\n" + "\n".join(
+        offences
+    )
 
 
 def test_no_elementwise_integer_powers_in_grid_code():

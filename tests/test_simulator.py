@@ -38,12 +38,18 @@ from chtransition.spectral import (
 D = DomainSpec((math.pi, 2.0, 1.0))
 P = PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.5)
 SMALL = (8, 8, 8)
+PROFILE = MobilityProfile(kind="polynomial", data=(0.6, 1.2, -1.0))
 
 
 def _state(amplitudes, T=0.24, grid=SMALL, params=P):
     return SimState(
         u=field_from_modes(amplitudes, grid, D), t=0.0, T=T, params=params
     )
+
+
+def _diag_stepper(s, rhs="taylor"):
+    """A single-shot stepper to evaluate the diagnostics of ``s`` on."""
+    return Stepper(s, StepConfig(dt=1.0, grid=s.u.grid_shape, rhs=rhs))
 
 
 class TestFixedPoint:
@@ -99,9 +105,18 @@ class TestLinearRegime:
 class TestDiagnostics:
     def test_zero_state(self):
         s = SimState(u=SpectralField.zeros(SMALL, D), t=0.0, T=0.24, params=P)
-        assert free_energy(s) == 0.0
-        assert np.abs(chemical_potential(s).coeffs).max() == 0.0
-        assert dissipation(s) == 0.0
+        stepper, c = _diag_stepper(s), s.u.coeffs
+        assert free_energy(stepper, c) == 0.0
+        assert np.abs(chemical_potential(stepper, c).coeffs).max() == 0.0
+        assert dissipation(stepper, c) == 0.0
+
+    def test_coefficients_of_another_grid_rejected(self):
+        # the stepper's band is (8, 8, 8); (8, 8, 1) would broadcast against it
+        s = _state({(1, 0, 0): 0.1})
+        stepper, c = _diag_stepper(s), s.u.coeffs[:, :, :1]
+        for diagnostic in (free_energy, chemical_potential, dissipation):
+            with pytest.raises(ValueError, match="band"):
+                diagnostic(stepper, c)
 
     def test_single_mode_energy_closed_form(self):
         eps = 0.1
@@ -114,14 +129,14 @@ class TestDiagnostics:
             + 0.5 * b.b1 * eps**2 * (v / 2)
             + 0.25 * b.b3 * eps**4 * (3 * v / 8)
         )
-        assert free_energy(s) == pytest.approx(expected, rel=1e-12)
+        assert free_energy(_diag_stepper(s), s.u.coeffs) == pytest.approx(expected, rel=1e-12)
 
     def test_chemical_potential_eigenrelation(self):
         eps = 1e-9
         s = _state({(2, 1, 0): eps})
         b = derive_coefficients(P, s.T)
         rho = laplacian_eigenvalue((2, 1, 0), D)
-        mu = chemical_potential(s)
+        mu = chemical_potential(_diag_stepper(s), s.u.coeffs)
         assert mu.amplitude((2, 1, 0)) == pytest.approx(
             (P.alpha * rho + b.b1) * eps, rel=1e-9
         )
@@ -131,7 +146,7 @@ class TestDiagnostics:
         s = _state({(1, 0, 0): eps})
         b = derive_coefficients(P, s.T)
         rho = laplacian_eigenvalue((1, 0, 0), D)
-        mu = chemical_potential(s)
+        mu = chemical_potential(_diag_stepper(s), s.u.coeffs)
         # cos^3 projects 3/4 onto the mode and 1/4 onto its third harmonic
         assert mu.amplitude((1, 0, 0)) == pytest.approx(
             (P.alpha * rho + b.b1) * eps + 0.75 * b.b3 * eps**3, rel=1e-12
@@ -143,17 +158,13 @@ class TestDiagnostics:
         u = random_initial_field(D, SMALL, 0.05, rng, band_limit=3)
         v = random_initial_field(D, SMALL, 1.0, rng, band_limit=3)
         s = SimState(u=u, t=0.0, T=0.24, params=P)
-        mu = chemical_potential(s)
+        stepper = _diag_stepper(s)
+        mu = chemical_potential(stepper, u.coeffs)
         weights = _norm_weights(SMALL, D)
         inner = float((mu.coeffs * v.coeffs * weights).sum())
         h = 1e-6
         def energy(shift):
-            return free_energy(
-                SimState(
-                    u=SpectralField(u.coeffs + shift * v.coeffs, D),
-                    t=0.0, T=0.24, params=P,
-                )
-            )
+            return free_energy(stepper, u.coeffs + shift * v.coeffs)
         fd = (energy(h) - energy(-h)) / (2 * h)
         assert inner == pytest.approx(fd, rel=1e-6)
 
@@ -165,17 +176,33 @@ class TestDiagnostics:
         doubled = PhysicalParams(
             R=1, gamma=1, alpha=1, ubar=0.5, mobility=MobilitySpec(h0=2.0, h1=0.6, h2=0.4)
         )
-        d1 = dissipation(SimState(u=u, t=0.0, T=0.24, params=base))
-        d2 = dissipation(SimState(u=u, t=0.0, T=0.24, params=doubled))
+        d1, d2 = (
+            dissipation(_diag_stepper(SimState(u=u, t=0.0, T=0.24, params=p)), u.coeffs)
+            for p in (base, doubled)
+        )
         assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
         assert d1 < 0
 
-    def test_dissipation_matches_energy_rate(self):
+    @pytest.mark.parametrize(
+        "params, rhs",
+        [
+            (P, "taylor"),
+            (
+                PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.5,
+                               mobility=MobilitySpec.from_profile(PROFILE, 0.5)),
+                "divergence",
+            ),
+        ],
+        ids=["taylor-h0", "divergence-poly"],
+    )
+    def test_dissipation_matches_energy_rate(self, params, rhs):
         # first-order consistency: the mismatch between the discrete energy
-        # rate and the midpoint production shrinks linearly with dt
+        # rate and the midpoint production shrinks linearly with dt; both
+        # forms are gradient flows, and the recorded dissipation takes its
+        # mobility from the run's right-hand side
         def mismatch(dt):
-            cfg = StepConfig(dt=dt, grid=(16, 16, 16))
-            s = _state({(1, 0, 0): 0.1, (2, 0, 0): 0.03}, grid=(16, 16, 16))
+            cfg = StepConfig(dt=dt, grid=(16, 16, 16), rhs=rhs)
+            s = _state({(1, 0, 0): 0.1, (2, 0, 0): 0.03}, grid=(16, 16, 16), params=params)
             res = simulate(s, cfg, t_end=0.2, record_every=1)
             worst = 0.0
             for i in range(len(res.times) - 1):
@@ -193,7 +220,6 @@ class TestDiagnosticReferences:
     # the direct forms: gradient squares summed on the padded grid and
     # elementwise powers of u
     SHAPE = (10, 12, 8)
-    PROFILE = MobilityProfile(kind="polynomial", data=(0.6, 1.2, -1.0))
     CASES = {
         "taylor-h0": (PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.5), "taylor"),
         "taylor-h1-h2": (
@@ -226,7 +252,7 @@ class TestDiagnosticReferences:
         density = 0.5 * s.params.alpha * sum(d * d for d in g.gradient(c))
         density += 0.5 * b.b1 * u**2 + b.b2 / 3.0 * u**3 + 0.25 * b.b3 * u**4
         expect = integrate_grid(density, D)
-        assert free_energy(s) == pytest.approx(expect, rel=1e-13, abs=0.0)
+        assert free_energy(_diag_stepper(s), c) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_dissipation(self, case):
@@ -239,7 +265,7 @@ class TestDiagnosticReferences:
         else:
             h = p.mobility.taylor_value(u)
         expect = -integrate_grid(h * sum(d * d for d in g.gradient(mu)), D)
-        assert dissipation(s, rhs=rhs) == pytest.approx(expect, rel=1e-13, abs=0.0)
+        assert dissipation(_diag_stepper(s, rhs), c) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
 class TestConservation:
@@ -483,6 +509,27 @@ class TestHeldArrays:
         assert advance_peak < padded_bytes
 
     @pytest.mark.parametrize("case", list(CASES))
+    def test_recording_allocates_no_padded_array(self, case):
+        # simulate records free_energy and dissipation on its own stepper
+        padded_bytes = np.empty(tuple(2 * n for n in self.GRID)).nbytes
+        tracemalloc.start()
+        try:
+            stepper, s = self._stepper(case)
+            for _ in range(2):
+                s = stepper.step(s)
+                free_energy(stepper, s.u.coeffs)
+                dissipation(stepper, s.u.coeffs)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                free_energy(stepper, s.u.coeffs)
+                dissipation(stepper, s.u.coeffs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < padded_bytes
+
+    @pytest.mark.parametrize("case", list(CASES))
     def test_reuse_carries_no_state_between_calls(self, case):
         stepper, s = self._stepper(case)
         c1 = s.u.coeffs
@@ -564,7 +611,7 @@ class TestInitialData:
         shape = (8, 8, 8)
         pad = (16, 16, 16)
         K = (2, 1, 0)
-        f = SpectralField.from_modes({K: 1.0}, shape, D)
+        f = field_from_modes({K: 1.0}, shape, D)
         grads = SpectralGrid(shape, D).gradient(f.coeffs)
         xs = [collocation_points(n, L) for n, L in zip(pad, D.lengths)]
         mesh = np.meshgrid(*xs, indexing="ij")

@@ -11,6 +11,7 @@ from chtransition import (
     DomainSpec,
     SpectralField,
     eval_mode,
+    field_from_modes,
     forward_transform,
     grad_triple_product,
     inverse_transform,
@@ -21,7 +22,6 @@ from chtransition import (
 from chtransition.spectral import (
     SpectralGrid,
     collocation_points,
-    grid_to_csv,
     integrate_grid,
     load_grid,
     save_grid,
@@ -117,7 +117,7 @@ class TestEvalMode:
 class TestTransforms:
     def test_single_mode_forward(self):
         for K in [(1, 0, 0), (2, 1, 0), (3, 2, 1)]:
-            f = SpectralField.from_modes({K: 1.0}, (8, 8, 8), D)
+            f = field_from_modes({K: 1.0}, (8, 8, 8), D)
             grid = inverse_transform(f)
             back = forward_transform(grid, D)
             expect = np.zeros((8, 8, 8))
@@ -156,7 +156,7 @@ class TestTransforms:
         xs = [collocation_points(n, L) for n, L in zip(shape, D.lengths)]
         pts = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1)
         for K in [(1, 0, 0), (0, 2, 0), (2, 1, 3)]:
-            f = SpectralField.from_modes({K: 1.0}, shape, D)
+            f = field_from_modes({K: 1.0}, shape, D)
             assert np.abs(inverse_transform(f) - eval_mode(K, pts, D)).max() < 1e-13
 
     def test_parseval(self):
@@ -181,7 +181,7 @@ class TestOrthogonality:
         ]
         shape = (16, 16, 16)
         fields = np.stack(
-            [inverse_transform(SpectralField.from_modes({K: 1.0}, shape, D)) for K in modes]
+            [inverse_transform(field_from_modes({K: 1.0}, shape, D)) for K in modes]
         )
         w = D.volume / fields[0].size
         gram = np.einsum("aijk,bijk->ab", fields, fields) * w
@@ -192,7 +192,7 @@ class TestOrthogonality:
         K = (2, 1, 1)
         shape = (32, 32, 32)
         rho = laplacian_eigenvalue(K, D)
-        f = SpectralField.from_modes({K: 1.0}, shape, D)
+        f = field_from_modes({K: 1.0}, shape, D)
         lap_spec = inverse_transform(SpectralField(-rho * f.coeffs, D))
         grid = inverse_transform(f)
         lap_fd = np.zeros_like(grid)
@@ -262,6 +262,12 @@ class TestBandTransforms:
             c[K] * eval_mode(K, pts, D) for K in product(*map(range, self.SHAPE)) if any(K)
         )
         assert np.abs(g.synthesize(c) - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def test_synthesize_rejects_another_shape(self):
+        # a (5, 6, 1) array would broadcast against the (5, 6, 7) scale
+        g, c = self._band(23)
+        with pytest.raises(ValueError, match="band"):
+            g.synthesize(c[:, :, :1])
 
     def test_gradient_matches_analytic_derivatives(self):
         g, c = self._band(22)
@@ -353,15 +359,6 @@ class TestSerialisation:
         with pytest.raises(ValueError):
             load_grid(path)
 
-    def test_csv(self, tmp_path):
-        grid = np.arange(8.0).reshape(2, 2, 2)
-        path = tmp_path / "field.csv"
-        grid_to_csv(path, grid)
-        text = path.read_text().splitlines()
-        assert text[0] == "# dims: 2 2 2"
-        assert text[1] == "i1,i2,i3,value"
-        assert len(text) == 2 + 8
-
 
 class TestSpectralFieldInvariants:
     def test_zero_mode_rejected(self):
@@ -372,4 +369,4 @@ class TestSpectralFieldInvariants:
 
     def test_mode_outside_grid_rejected(self):
         with pytest.raises(ValueError):
-            SpectralField.from_modes({(5, 0, 0): 1.0}, (4, 4, 4), D)
+            field_from_modes({(5, 0, 0): 1.0}, (4, 4, 4), D)
