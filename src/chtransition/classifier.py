@@ -2,8 +2,10 @@
 
 The decision rests solely on the discriminants ``B1, B2, B3`` at the
 critical temperature; the discriminant indexed by the critical-mode count
-``m`` decides the type.  The mobility cancels out of every decision
-quantity, so the classification is identical for any admissible mobility.
+``m`` decides the type, and the sign of ``B_s`` puts the states supported
+on ``s`` critical modes below (``B_s > 0``) or above the critical
+temperature.  The mobility cancels out of every decision quantity, so the
+classification is identical for any admissible mobility.
 
 Continuous (Type I) transitions bifurcate below the critical temperature to
 a local attractor carrying ``3^m - 1`` steady states; discontinuous
@@ -13,7 +15,6 @@ two sides.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -114,9 +115,6 @@ class TransitionReport:
             "notes": list(self.notes),
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.as_dict(), **kwargs)
-
     def to_text(self) -> str:
         lines = [
             f"critical temperature Tc = {self.tc:.12g}",
@@ -155,63 +153,59 @@ def _marginal_guard(value: float, scale: float, name: str) -> None:
         )
 
 
+def _square_root_coefficient(p: PhysicalParams, b1: float, dT: float) -> float:
+    """``sqrt(4*R*dT / (3*|B1|*ubar*(1 - ubar)))``: the bifurcated amplitude
+    of a single critical mode at distance ``dT`` from the critical
+    temperature."""
+    return math.sqrt(4.0 * p.R * dT / (3.0 * abs(b1) * p.ubar * (1.0 - p.ubar)))
+
+
 def classify_transition(p: PhysicalParams, d: DomainSpec) -> TransitionReport:
     """Classify the transition for the given physical setup.
 
-    Raises ``MarginalTransitionError`` when the deciding discriminant
-    vanishes to rounding, since the cubic truncation cannot then decide.
+    One rule gives the census for every multiplicity ``m``.  The
+    ``n_s = 2^s * C(m, s)`` states supported on ``s`` critical modes carry
+    squared amplitudes ``beta / (a1 + (s-1)*a2)`` (``a1, a2`` from
+    `cubic_coefficients`), and ``a1 + (s-1)*a2`` is a positive multiple of
+    ``B_s`` (see `Discriminants`).  As ``beta > 0`` below the critical
+    temperature, they bifurcate below it when ``B_s > 0`` and above it when
+    ``B_s < 0``.  Since ``B1 >= B2 >= B3``, ``B_m > 0`` (Type I) puts every
+    state below; its attractors are the ``n_m`` states on all modes when
+    ``sigma1 > sigma2`` and otherwise the ``n_1`` states on one mode (for
+    ``m = 1`` both are the same two states).  In Type II every state is a
+    saddle of the full dynamics, and the states lie on both sides when any
+    lies below.
+
+    Raises ``MarginalTransitionError`` when ``B_m``, or a ``B_s`` that
+    places states, vanishes to rounding, since the cubic truncation cannot
+    then decide.
     """
     tc = critical_temperature(p, d)
     disc = transition_discriminants(p, d)
     b3 = derive_coefficients(p, tc).b3
     m = d.multiplicity
     bs = (disc.B1, disc.B2, disc.B3)
-    _marginal_guard(bs[m - 1], b3, f"B{m}")
+    for s in (m, *range(1, m)):
+        _marginal_guard(bs[s - 1], b3, f"B{s}")
+    n = [2**s * math.comb(m, s) for s in range(1, m + 1)]
+    below = sum(n_s for n_s, b in zip(n, bs) if b > 0)
+    above = 3**m - 1 - below
 
     notes: list[str] = []
-    amplitude = None
+    amplitude = _square_root_coefficient(p, disc.B1, 1.0) if m == 1 else None
     topology = None
     minimal = None
-
-    if m == 1:
-        if disc.B1 > 0:
-            ttype, side = TransitionType.TYPE_I, Side.BELOW
-            census = {Side.BELOW: SideCensus(attractors=2), Side.ABOVE: SideCensus()}
-        else:
-            ttype, side = TransitionType.TYPE_II, Side.ABOVE
-            census = {Side.BELOW: SideCensus(), Side.ABOVE: SideCensus(saddles=2)}
-            notes.append(
-                "the two bifurcated states are saddles of the full dynamics; "
-                "in the one-dimensional reduced system they appear as repellers"
-            )
-        amplitude = math.sqrt(
-            4.0 * p.R / (3.0 * abs(disc.B1) * p.ubar * (1.0 - p.ubar))
-        )
-    elif m == 2:
-        if disc.B2 > 0:
-            ttype, side = TransitionType.TYPE_I, Side.BELOW
-            census = {
-                Side.BELOW: SideCensus(attractors=4, saddles=4),
-                Side.ABOVE: SideCensus(),
-            }
-            topology = "S^1"
-        else:
-            ttype = TransitionType.TYPE_II
-            _marginal_guard(disc.B1, b3, "B1")
-            if disc.B1 > 0:
-                side = Side.BOTH
-                census = {
-                    Side.BELOW: SideCensus(saddles=4),
-                    Side.ABOVE: SideCensus(saddles=4),
-                }
-            else:
-                side = Side.ABOVE
-                census = {Side.BELOW: SideCensus(), Side.ABOVE: SideCensus(saddles=8)}
-    else:
-        if disc.B3 > 0:
-            ttype, side = TransitionType.TYPE_I, Side.BELOW
-            topology = "S^2"
-            sigma_gap = disc.sigma1 - disc.sigma2
+    if bs[m - 1] > 0:
+        ttype, side = TransitionType.TYPE_I, Side.BELOW
+        sigma_gap = disc.sigma1 - disc.sigma2
+        attractors = n[m - 1] if sigma_gap > 0 else n[0]
+        census = {
+            Side.BELOW: SideCensus(attractors, below - attractors),
+            Side.ABOVE: SideCensus(),
+        }
+        if m > 1:
+            topology = f"S^{m - 1}"
+        if m == 3:
             if abs(sigma_gap) <= 1e-12 * (abs(disc.sigma1) + abs(disc.sigma2)):
                 census = {Side.BELOW: SideCensus(), Side.ABOVE: SideCensus()}
                 notes.append(
@@ -221,36 +215,22 @@ def classify_transition(p: PhysicalParams, d: DomainSpec) -> TransitionReport:
             else:
                 # the eight diagonal states attract when the self-coupling
                 # dominates, equivalently b3 < 22*L^2*b2^2/(9*alpha*pi^2)
-                minimal = 8 if sigma_gap > 0 else 6
-                census = {
-                    Side.BELOW: SideCensus(attractors=minimal, saddles=26 - minimal),
-                    Side.ABOVE: SideCensus(),
-                }
+                minimal = attractors
             if p.alpha != 1.0:
                 notes.append(
                     "the minimal-attractor threshold compares b3 against "
                     "22*L^2*b2^2/(9*alpha*pi^2), with the gradient coefficient "
                     "in the denominator"
                 )
-        else:
-            ttype = TransitionType.TYPE_II
-            _marginal_guard(disc.B1, b3, "B1")
-            if disc.B1 < 0:
-                side = Side.ABOVE
-                census = {Side.BELOW: SideCensus(), Side.ABOVE: SideCensus(saddles=26)}
-            else:
-                _marginal_guard(disc.B2, b3, "B2")
-                side = Side.BOTH
-                if disc.B2 > 0:
-                    census = {
-                        Side.BELOW: SideCensus(saddles=18),
-                        Side.ABOVE: SideCensus(saddles=8),
-                    }
-                else:
-                    census = {
-                        Side.BELOW: SideCensus(saddles=6),
-                        Side.ABOVE: SideCensus(saddles=20),
-                    }
+    else:
+        ttype = TransitionType.TYPE_II
+        side = Side.BOTH if below else Side.ABOVE
+        census = {Side.BELOW: SideCensus(saddles=below), Side.ABOVE: SideCensus(saddles=above)}
+        if m == 1:
+            notes.append(
+                "the two bifurcated states are saddles of the full dynamics; "
+                "in the one-dimensional reduced system they appear as repellers"
+            )
 
     return TransitionReport(
         tc=tc,
@@ -284,9 +264,7 @@ def bifurcated_amplitude(p: PhysicalParams, d: DomainSpec, T: float) -> float:
         raise ValueError("continuous transition: bifurcated states exist below Tc only")
     if disc.B1 < 0 and T < tc:
         raise ValueError("jump transition: bifurcated states exist above Tc only")
-    return math.sqrt(
-        4.0 * p.R * abs(tc - T) / (3.0 * abs(disc.B1) * p.ubar * (1.0 - p.ubar))
-    )
+    return _square_root_coefficient(p, disc.B1, abs(tc - T))
 
 
 def _full_system_kind(e: Equilibrium) -> str:

@@ -199,7 +199,7 @@ def _sweep_point(cfg: RunConfig, seed: int, eps: float, tc: float):
     t_end = min(s.t_end, 12.0 / beta)
     result = simulate(
         state0, _step_config(cfg), t_end=t_end,
-        record_every=max(1, s.record_every), steady_tol=1e-9,
+        record_every=s.record_every, steady_tol=1e-9,
     )
     amp = abs(result.final_state.projection((1, 0, 0)))
     return eps, T, amp, amp_pred
@@ -212,12 +212,8 @@ def cmd_sweep(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
     eps = sorted(cfg.sweep.epsilons)
     if any(e <= 0 or e >= 1 for e in eps):
         raise ConfigError("sweep epsilons must lie in (0, 1)")
-    workers = max(1, cfg.sweep.workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(lambda e: _sweep_point(cfg, seed, e, tc), eps))
-    else:
-        points = [_sweep_point(cfg, seed, e, tc) for e in eps]
+    with ThreadPoolExecutor(max_workers=cfg.sweep.workers) as pool:
+        points = list(pool.map(lambda e: _sweep_point(cfg, seed, e, tc), eps))
     points.sort()
     log_dt = [math.log(tc - T) for _, T, _, _ in points]
     log_amp = [math.log(a) for _, _, a, _ in points]

@@ -25,7 +25,14 @@ or, in place of H0-H2, which it then defines (setting both is an error):
     L2 = 2.0
     L3 = 1.0
 
-Unknown keys and sections are rejected with the offending line number.
+The degeneracy case of the box follows from L1-L3 (equal under
+``tie_tolerance``); there is no ``case`` key.  Unknown keys and sections
+are rejected with the offending line number, and so are values out of
+range: ``dt`` (in [simulate] and [reduce]), ``t_end`` and
+``relaxation_times`` must be positive; ``record_every`` (in [simulate] and
+[reduce]), ``steps``, ``workers`` and ``band_limit`` at least 1; each
+``grid`` size at least 6; ``stabilization``, ``seed_amplitude`` and
+``tie_tolerance`` nonnegative.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import (
-    DomainCase,
     DomainSpec,
     MobilityProfile,
     MobilitySpec,
@@ -139,6 +145,24 @@ def _as_int(s: str) -> int:
     return int(s)
 
 
+def _at_least(conv, lo, strict: bool = False):
+    """``conv`` with a range rule: the value must reach ``lo``, or exceed it
+    when ``strict``."""
+
+    def checked(s: str):
+        v = conv(s)
+        if v < lo or (strict and v == lo):
+            raise ValueError(f"must be {'>' if strict else '>='} {lo:g}")
+        return v
+
+    return checked
+
+
+_positive = _at_least(_as_float, 0.0, strict=True)
+_nonnegative = _at_least(_as_float, 0.0)
+_count = _at_least(_as_int, 1)
+
+
 def _as_bool(s: str) -> bool:
     v = s.strip().lower()
     if v in ("true", "yes", "on", "1"):
@@ -157,12 +181,11 @@ def _as_floats(s: str) -> tuple[float, ...]:
 
 def _as_grid(s: str) -> tuple[int, int, int]:
     parts = s.replace(",", " ").split()
-    if len(parts) == 1:
-        n = _as_int(parts[0])
-        return (n, n, n)
-    if len(parts) == 3:
-        return tuple(_as_int(p) for p in parts)  # type: ignore[return-value]
-    raise ValueError("expected one or three grid sizes")
+    if len(parts) not in (1, 3):
+        raise ValueError("expected one or three grid sizes")
+    # the smallest grid a StepConfig accepts
+    sizes = tuple(_at_least(_as_int, 6)(p) for p in parts)
+    return sizes * 3 if len(sizes) == 1 else sizes  # type: ignore[return-value]
 
 
 def _as_choice(*choices: str):
@@ -301,35 +324,28 @@ def load_config(path) -> RunConfig:
     l1 = dom.require("L1", _as_float)
     l2 = dom.require("L2", _as_float)
     l3 = dom.require("L3", _as_float)
-    case = dom.optional(
-        "case", _as_choice("distinct", "two_equal", "all_equal"), None
-    )
-    tie_tol = dom.optional("tie_tolerance", _as_float, 1e-12)
+    tie_tol = dom.optional("tie_tolerance", _nonnegative, 1e-12)
     dom.reject_unknown()
 
     try:
         if mobility is None:
             mobility = MobilitySpec(*taylor.values())
         physical = PhysicalParams(R=r, gamma=gamma, alpha=alpha, ubar=ubar, mobility=mobility)
-        domain = DomainSpec(
-            lengths=(l1, l2, l3),
-            case=DomainCase(case) if case else None,
-            tie_tolerance=tie_tol,
-        )
+        domain = DomainSpec(lengths=(l1, l2, l3), tie_tolerance=tie_tol)
     except ValueError as exc:
         raise ConfigError(str(exc), path)
 
     sim = section("simulate")
     simulate = SimulateSettings(
         grid=sim.optional("grid", _as_grid, (32, 32, 32)),
-        dt=sim.optional("dt", _as_float, 0.05),
-        t_end=sim.optional("t_end", _as_float, 200.0),
-        record_every=sim.optional("record_every", _as_int, 10),
+        dt=sim.optional("dt", _positive, 0.05),
+        t_end=sim.optional("t_end", _positive, 200.0),
+        record_every=sim.optional("record_every", _count, 10),
         scheme=sim.optional("scheme", _as_choice("imex1", "imex2"), "imex1"),
         rhs=sim.optional("rhs", _as_choice("taylor", "divergence"), "taylor"),
-        stabilization=sim.optional("stabilization", _as_float, 0.0),
-        seed_amplitude=sim.optional("seed_amplitude", _as_float, 1e-3),
-        band_limit=sim.optional("band_limit", _as_int, 4),
+        stabilization=sim.optional("stabilization", _nonnegative, 0.0),
+        seed_amplitude=sim.optional("seed_amplitude", _nonnegative, 1e-3),
+        band_limit=sim.optional("band_limit", _count, 4),
         seed_modes=sim.optional("seed_modes", _as_modes, None),
         save_final_field=sim.optional("save_final_field", _as_bool, False),
     )
@@ -338,9 +354,9 @@ def load_config(path) -> RunConfig:
     red = section("reduce")
     reduce_ = ReduceSettings(
         y0=red.optional("y0", _as_floats, (0.01,)),
-        dt=red.optional("dt", _as_float, 0.01),
-        steps=red.optional("steps", _as_int, 20000),
-        record_every=red.optional("record_every", _as_int, 10),
+        dt=red.optional("dt", _positive, 0.01),
+        steps=red.optional("steps", _count, 20000),
+        record_every=red.optional("record_every", _count, 10),
         sigma_at=red.optional("sigma_at", _as_choice("ambient", "critical"), "ambient"),
     )
     red.reject_unknown()
@@ -348,14 +364,14 @@ def load_config(path) -> RunConfig:
     sw = section("sweep")
     sweep = SweepSettings(
         epsilons=sw.optional("epsilons", _as_floats, (0.01, 0.02, 0.04, 0.06, 0.08)),
-        workers=sw.optional("workers", _as_int, 2),
+        workers=sw.optional("workers", _count, 2),
     )
     sw.reject_unknown()
 
     val = section("validate")
     validate = ValidateSettings(
         y0=val.optional("y0", _as_floats, (0.02,)),
-        relaxation_times=val.optional("relaxation_times", _as_float, 1.0),
+        relaxation_times=val.optional("relaxation_times", _positive, 1.0),
     )
     val.reject_unknown()
 

@@ -11,7 +11,6 @@ its size (1, 2 or 3) follows the degeneracy of the box edges.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -118,9 +117,6 @@ class PESReport:
             "k_max": self.k_max,
             "scanned_temperatures": list(self.scanned_temperatures),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.as_dict(), **kwargs)
 
 
 def verify_pes(

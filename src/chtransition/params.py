@@ -216,13 +216,13 @@ def _relatively_equal(a: float, b: float, tol: float) -> bool:
 class DomainSpec:
     """Rectangular box ``(0, L1) x (0, L2) x (0, L3)`` with ``L1 >= L2 >= L3``.
 
-    The degeneracy case is detected from the lengths under ``tie_tolerance``
-    (relative) unless set explicitly.
+    The degeneracy ``case`` is derived from the lengths, equal under
+    ``tie_tolerance`` (relative); it cannot be set.
     """
 
     lengths: tuple[float, float, float]
-    case: DomainCase | None = None
     tie_tolerance: float = 1e-12
+    case: DomainCase = field(init=False)
 
     def __post_init__(self) -> None:
         lengths = tuple(float(v) for v in self.lengths)
@@ -230,9 +230,10 @@ class DomainSpec:
             raise ValueError("domain needs three positive edge lengths")
         if not (lengths[0] >= lengths[1] >= lengths[2]):
             raise ValueError("edge lengths must be sorted: L1 >= L2 >= L3")
+        if self.tie_tolerance < 0.0:
+            raise ValueError("tie_tolerance must be nonnegative")
         object.__setattr__(self, "lengths", lengths)
-        if self.case is None:
-            object.__setattr__(self, "case", self._detect_case())
+        object.__setattr__(self, "case", self._detect_case())
 
     def _detect_case(self) -> DomainCase:
         l1, l2, l3 = self.lengths

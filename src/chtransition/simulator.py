@@ -272,6 +272,14 @@ class Stepper:
         return new
 
     def step(self, state: SimState) -> SimState:
+        """The state one ``dt`` later.  Raises ``ValueError`` for a state whose
+        temperature, parameters or domain differ from the stepper's own."""
+        for name in ("T", "params", "domain"):
+            mine, theirs = getattr(self, name), getattr(state, name)
+            if theirs is not mine and theirs != mine:
+                raise ValueError(
+                    f"state {name} differs from the stepper's; build a Stepper for this state"
+                )
         c = state.u.coeffs
         dt = self.cfg.dt
         g = self.explicit_term(c) + self._stab * c

@@ -321,18 +321,9 @@ class SpectralField:
     def amplitude(self, K: Mode) -> float:
         return float(self.coeffs[_check_mode(K)])
 
-    def as_dict(self, threshold: float = 0.0) -> dict[Mode, float]:
-        out: dict[Mode, float] = {}
-        for idx in zip(*np.nonzero(np.abs(self.coeffs) > threshold)):
-            out[tuple(int(i) for i in idx)] = float(self.coeffs[idx])
-        return out
-
     def l2_norm_sq(self) -> float:
         """Squared L2 norm of the field (Parseval)."""
         return float((self.coeffs**2 * _norm_weights(self.grid_shape, self.domain)).sum())
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.coeffs.copy(), self.domain)
 
 
 def forward_transform(grid: np.ndarray, d: DomainSpec) -> SpectralField:

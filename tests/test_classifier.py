@@ -214,4 +214,3 @@ class TestSerialisation:
         assert payload["census"]["below"]["attractors"] == 2
         text = report.to_text()
         assert "Tc" in text and "type" in text
-        assert report.to_json()

@@ -110,6 +110,38 @@ class TestConfigParsing:
             assert mob.profile is not None
             assert (mob.h0, mob.h1, mob.h2) == mob.profile.taylor_data(cfg.physical.ubar)
 
+    def test_case_key_is_unknown(self, tmp_path, capsys):
+        text = BASE.replace("L3 = 1.0", "L3 = 1.0\ncase = distinct")
+        lineno = text.splitlines().index("case = distinct") + 1
+        path = _write(tmp_path, text)
+        assert main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"run.cfg:{lineno}: unknown key 'case'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("simulate", "record_every", "0"),
+            ("reduce", "record_every", "0"),
+            ("simulate", "t_end", "-5"),
+            ("validate", "relaxation_times", "-1"),
+            ("simulate", "band_limit", "-1"),
+            ("simulate", "dt", "-0.1"),
+            ("simulate", "grid", "4"),
+            ("simulate", "stabilization", "-1"),
+            ("simulate", "seed_amplitude", "-1"),
+            ("reduce", "dt", "0"),
+            ("reduce", "steps", "0"),
+            ("sweep", "workers", "0"),
+            ("domain", "tie_tolerance", "-1"),
+        ],
+    )
+    def test_out_of_range_value_names_the_line(self, tmp_path, capsys, section, key, value):
+        text = BASE + f"\n[{section}]\n{key} = {value}\n"
+        lineno = len(text.splitlines())
+        path = _write(tmp_path, text)
+        assert main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"run.cfg:{lineno}: bad value for '{key}'" in capsys.readouterr().err
+
     def test_physics_validation_becomes_config_error(self, tmp_path):
         broken = BASE.replace("ubar = 0.5", "ubar = 1.5")
         with pytest.raises(ConfigError, match="ubar"):

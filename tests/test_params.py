@@ -202,14 +202,18 @@ class TestDomainSpec:
         assert DomainSpec((2.0, 2.0, 1.0)).multiplicity == 2
         assert DomainSpec((2.0, 2.0, 2.0)).multiplicity == 3
 
-    def test_explicit_case_overrides(self):
-        d = DomainSpec((2.0, 2.0, 1.0), case=DomainCase.DISTINCT)
-        assert d.multiplicity == 1
+    def test_case_cannot_be_set(self):
+        # the case follows from the lengths: an override gave a wrong census
+        with pytest.raises(TypeError):
+            DomainSpec((2.0, 2.0, 1.0), case=DomainCase.DISTINCT)
 
     def test_tie_tolerance(self):
         near = 2.0 * (1.0 - 1e-13)
         assert DomainSpec((2.0, near, 1.0)).case is DomainCase.TWO_EQUAL
         assert DomainSpec((2.0, near, 1.0), tie_tolerance=1e-15).case is DomainCase.DISTINCT
+        # a negative tolerance would split even exactly equal edges
+        with pytest.raises(ValueError, match="tie_tolerance"):
+            DomainSpec((2.0, 2.0, 2.0), tie_tolerance=-1.0)
 
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):

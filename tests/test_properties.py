@@ -4,24 +4,30 @@ One conservative (``divergence``) step under any admissible quadratic
 mobility profile must not raise the free energy beyond criterion 8's
 per-step tolerance and keeps the mass at exactly zero; the sigma pair and
 the discriminants obey their identities at the critical temperature for
-any parameters with a supercritical regime.  The examples are drawn
-deterministically (see the settings profile in ``conftest.py``).
+any parameters with a supercritical regime; and the classifier's census
+rule agrees with direct enumeration of the equilibria on each box case.
+The examples are drawn deterministically (see the settings profile in
+``conftest.py``).
 """
 
 import math
 
 import numpy as np
-from hypothesis import assume, given
+import pytest
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from chtransition import (
     DomainSpec,
+    MarginalTransitionError,
     MobilityProfile,
     MobilitySpec,
     PhysicalParams,
     SimState,
     StepConfig,
     Stepper,
+    census_check,
+    classify_transition,
     critical_temperature,
     free_energy,
     random_initial_field,
@@ -79,3 +85,36 @@ def test_sigma_discriminant_identities(R, gamma, alpha, ubar, l1, shape):
     assert abs(disc.sigma1 + disc.sigma2 - 4.5 * disc.B2) <= 1e-12 * scale
     assert abs(disc.sigma1 + 2.0 * disc.sigma2 - 7.5 * disc.B3) <= 1e-12 * scale
     assert disc.B1 >= disc.B2 >= disc.B3
+
+
+# edge lengths from the longest edge and two ratios, for each box case
+BOXES = {
+    "distinct": lambda l1, r2, r3: (l1, l1 * r2, l1 * r2 * r3),
+    "two_equal": lambda l1, r2, r3: (l1, l1, l1 * r3),
+    "all_equal": lambda l1, r2, r3: (l1, l1, l1),
+}
+
+
+@pytest.mark.parametrize("case", list(BOXES))
+@given(
+    R=st.floats(0.5, 2.0),
+    gamma=st.floats(0.5, 20.0),
+    alpha=st.floats(0.2, 3.0),
+    ubar=st.floats(0.05, 0.95),
+    l1=st.floats(2.5, 6.0),
+    shape=st.tuples(st.floats(0.5, 0.999), st.floats(0.3, 0.999)),
+)
+# B1 > 0 > B3 with B2 > 0, a narrow window the draw seldom meets
+@example(R=1.0, gamma=10.0, alpha=1.0, ubar=0.435, l1=math.pi, shape=(0.7, 0.5))
+def test_census_rule_agrees_with_enumeration(case, R, gamma, alpha, ubar, l1, shape):
+    assume(2.0 * gamma > alpha * math.pi**2 / l1**2)
+    p = PhysicalParams(R=R, gamma=gamma, alpha=alpha, ubar=ubar)
+    d = DomainSpec(BOXES[case](l1, *shape))
+    assert d.case.value == case
+    try:
+        report = classify_transition(p, d)
+    except MarginalTransitionError:
+        assume(False)
+    assert sum(c.total for c in report.census.values()) == 3**d.multiplicity - 1
+    check = census_check(report, p, d)
+    assert check.matches, check.mismatches

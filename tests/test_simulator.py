@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,6 +63,23 @@ class TestFixedPoint:
         for _ in range(3):
             s = stepper.step(s)
         assert np.abs(s.u.coeffs).max() == 0.0
+
+
+class TestStateBinding:
+    def test_state_of_another_setup_rejected(self):
+        s = _state({(1, 0, 0): 0.01})
+        stepper = Stepper(s, StepConfig(dt=0.1, grid=SMALL))
+        other_box = DomainSpec((math.pi, 2.5, 1.0))
+        for other in (
+            replace(s, T=0.10),
+            replace(s, params=PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.45)),
+            replace(s, u=field_from_modes({(1, 0, 0): 0.01}, SMALL, other_box)),
+        ):
+            with pytest.raises(ValueError, match="differs from the stepper"):
+                stepper.step(other)
+        # an equal setup built anew is the same setup
+        same = replace(s, params=PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.5))
+        assert stepper.step(same).T == s.T
 
 
 class TestLinearRegime:
