@@ -31,6 +31,7 @@ from .manifold import (
     critical_vector_field,
     cubic_coefficients,
     enumerate_equilibria,
+    equal_cubic_coefficients,
     integrate_reduced,
     reduced_potential,
     reduced_vector_field,

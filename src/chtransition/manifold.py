@@ -43,6 +43,7 @@ __all__ = [
     "DegenerateCubicError",
     "cm_coefficients",
     "cubic_coefficients",
+    "equal_cubic_coefficients",
     "reduced_vector_field",
     "critical_vector_field",
     "reduced_potential",
@@ -166,9 +167,25 @@ def cubic_coefficients(
     return pref * disc.sigma1, pref * disc.sigma2
 
 
-def _field(y: np.ndarray, beta: float, a1: float, a2: float) -> np.ndarray:
-    s = float((y * y).sum())
-    return beta * y - y * (a1 * y * y + a2 * (s - y * y))
+def equal_cubic_coefficients(a1: float, a2: float) -> bool:
+    """Whether the two cubic coefficients agree to rounding (relative
+    1e-12).  Then every direction is alike for ``m >= 2``: the steady
+    states on a side form a sphere, not isolated points."""
+    scale = abs(a1) + abs(a2)
+    return scale == 0.0 or abs(a1 - a2) <= 1e-12 * scale
+
+
+def _field(y, beta: float, a1: float, a2: float) -> tuple[float, ...]:
+    """The reduced vector field at the amplitudes ``y`` (1 to 3 floats), on
+    Python floats: on arrays this short numpy's per-call overhead outweighs
+    the arithmetic, and an RK4 step evaluates the field four times.  The
+    operations and their order are those of the array expression
+    ``beta*y - y*(a1*y*y + a2*(s - y*y))`` with ``s`` the sequential sum of
+    squares, so the results are numpy's to the bit."""
+    s = 0.0
+    for v in y:
+        s += v * v
+    return tuple(beta * v - v * (a1 * v * v + a2 * (s - v * v)) for v in y)
 
 
 def _jacobian(y: np.ndarray, beta: float, a1: float, a2: float) -> np.ndarray:
@@ -192,7 +209,7 @@ def reduced_vector_field(
     modes = _critical_modes(p, d, state.m)
     beta = growth_rate(modes[0], state.T, p, d)
     a1, a2 = cubic_coefficients(p, d, T=_sigma_temperature(sigma_at, state.T))
-    return _field(np.asarray(state.y, dtype=float), beta, a1, a2)
+    return np.array(_field(state.y, beta, a1, a2))
 
 
 def _sigma_temperature(sigma_at: str, T: float) -> float | None:
@@ -213,7 +230,7 @@ def critical_vector_field(
     if y.shape != (m,):
         raise ValueError(f"expected {m} components for this domain, got {y.shape}")
     a1, a2 = cubic_coefficients(p, d, T=None)
-    return _field(y, 0.0, a1, a2)
+    return np.array(_field(y.tolist(), 0.0, a1, a2))
 
 
 def reduced_potential(
@@ -297,7 +314,7 @@ def enumerate_equilibria(
     beta = growth_rate(modes[0], T, p, d)
     a1, a2 = cubic_coefficients(p, d, T=_sigma_temperature(sigma_at, T))
     scale = abs(a1) + abs(a2)
-    if scale == 0.0 or abs(a1 - a2) <= 1e-12 * scale:
+    if equal_cubic_coefficients(a1, a2):
         raise DegenerateCubicError(
             "equal cubic coefficients: the steady states form a continuum "
             "and cannot be enumerated as isolated points"
@@ -324,7 +341,7 @@ def enumerate_equilibria(
                 jac = _jacobian(y, beta, a1, a2)
                 eigs = np.linalg.eigvalsh(jac)
                 eig_scale = max(float(np.abs(eigs).max()), abs(beta), scale * q)
-                residual = float(np.abs(_field(y, beta, a1, a2)).max())
+                residual = max(abs(v) for v in _field(y.tolist(), beta, a1, a2))
                 out.append(
                     Equilibrium(
                         y=tuple(float(v) for v in y),
@@ -389,10 +406,16 @@ def integrate_reduced(
 
     Escape beyond ``blowup_norm`` stops the integration and is reported via
     the trajectory flag rather than raised: on the discontinuous-transition
-    side orbits legitimately leave the local neighbourhood.
+    side orbits legitimately leave the local neighbourhood.  Raises
+    ``ValueError`` for a zero ``dt``, negative ``steps`` or ``record_every``
+    below 1.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero (negative integrates backward)")
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
     modes = _critical_modes(p, d, y0.m)
     beta = growth_rate(modes[0], y0.T, p, d)
     if abs(dt) * abs(beta) > 0.1:
@@ -401,26 +424,30 @@ def integrate_reduced(
             stacklevel=2,
         )
     a1, a2 = cubic_coefficients(p, d, T=_sigma_temperature(sigma_at, y0.T))
+    beta, a1, a2, dt = float(beta), float(a1), float(a2), float(dt)
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    def f(y: np.ndarray) -> np.ndarray:
-        return _field(y, beta, a1, a2)
-
-    y = np.asarray(y0.y, dtype=float)
+    # the loop runs on tuples of floats, with the operations of the array
+    # form y + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4) in the same order
+    y = y0.y
     times = [0.0]
-    states = [y.copy()]
+    states = [y]
     escaped = False
     for n in range(1, steps + 1):
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)) or float(np.abs(y).max()) > blowup_norm:
+        k1 = _field(y, beta, a1, a2)
+        k2 = _field([v + half * k for v, k in zip(y, k1)], beta, a1, a2)
+        k3 = _field([v + half * k for v, k in zip(y, k2)], beta, a1, a2)
+        k4 = _field([v + dt * k for v, k in zip(y, k3)], beta, a1, a2)
+        y = tuple(
+            v + sixth * (((c1 + 2.0 * c2) + 2.0 * c3) + c4)
+            for v, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)
+        )
+        if not all(map(math.isfinite, y)) or max(map(abs, y)) > blowup_norm:
             escaped = True
             break
         if n % record_every == 0 or n == steps:
             times.append(n * dt)
-            states.append(y.copy())
+            states.append(y)
     return ReducedTrajectory(
         times=np.asarray(times), states=np.asarray(states), escaped=escaped
     )

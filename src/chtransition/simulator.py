@@ -164,6 +164,10 @@ class Stepper:
         self._den2 = 1.0 - 0.5 * dt * lam
         self._num2 = 1.0 + 0.5 * dt * lam
         self._stab = cfg.stabilization * self.rho**2
+        # the full mobility profile is used under `divergence` only
+        self._profile_in_use = (
+            cfg.rhs == "divergence" and state.params.mobility.profile is not None
+        )
         self._prev_g: np.ndarray | None = None
         self._work: dict[str, np.ndarray] = {}
 
@@ -197,7 +201,7 @@ class Stepper:
         p = self.params
         mob = p.mobility
         u_grid, out = self._padded("u", "poly")
-        if self.cfg.rhs == "divergence" and mob.profile is not None:
+        if self._profile_in_use:
             u_grid += p.ubar
             return mob.profile(u_grid, out=out)
         return mob.taylor_value(u_grid, out=out)
@@ -331,8 +335,11 @@ def simulate(
     its iteration cap, or a non-finite iterate), the run keeps the
     time-stepped state, tries Newton no more, integrates on to ``t_end`` and
     reports ``converged=False``.  Tracked mode amplitudes default to the
-    critical set of the domain.
+    critical set of the domain.  Raises ``ValueError`` for ``record_every``
+    below 1.
     """
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
     if track_modes is None:
         track_modes = critical_set(s0.params, s0.domain).modes
     stepper = Stepper(s0, cfg)
@@ -489,9 +496,17 @@ def dissipation(stepper: Stepper, coeffs: np.ndarray) -> float:
     the time derivative of the free energy along exact dynamics under
     ``divergence`` and under ``taylor`` with h0 only.  The ``taylor`` form
     with h1 or h2 is not a gradient flow, so there the free energy can rise
-    and this is no energy rate.  Call it from the stepper's own thread."""
+    and this is no energy rate.  A constant mobility ``H = h0`` (h1 and h2
+    zero, and no profile in use) takes ``integral(|grad(mu)|^2)`` from the
+    band coefficients of ``mu`` by Parseval (`SpectralGrid.gradient_norm_sq`,
+    exact for the band-limited potential); any other mobility is
+    integrated as the midpoint quadrature of ``H |grad(mu)|^2`` on the
+    padded grid.  Call it from the stepper's own thread."""
     g = stepper.grid
+    mob = stepper.params.mobility
     mu = stepper._potential(coeffs)
+    if mob.h1 == 0.0 and mob.h2 == 0.0 and not stepper._profile_in_use:
+        return -mob.h0 * g.gradient_norm_sq(mu)
     density = stepper._mobility_grid()
     # H * |grad(mu)|^2, summed in place in the order of sum(d * d for d in ...)
     grad_sq, *rest = g.gradient(mu, out=stepper._padded("flux0", "flux1", "flux2"))

@@ -15,6 +15,8 @@ from chtransition import (
     census_check,
     classify_transition,
     critical_temperature,
+    cubic_coefficients,
+    equal_cubic_coefficients,
     transition_discriminants,
 )
 
@@ -107,6 +109,24 @@ class TestTypeDecision:
         report = classify_transition(_params(0.5), D3)
         assert report.attractor_topology == "S^2"
         assert report.minimal_attractors == 6  # axes attract when b2 = 0
+
+    @pytest.mark.parametrize("d", [D2, D3], ids=["m2", "m3"])
+    def test_equal_sigma_is_a_continuum(self, d):
+        # sigma1 == sigma2 at the critical temperature: the states below form
+        # a sphere, which the report notes and the enumeration confirms
+        def gap(gamma):
+            disc = transition_discriminants(_params(0.3, gamma), d)
+            return disc.sigma1 - disc.sigma2
+
+        p = _params(0.3, brentq(gap, 1.01, 2.0, xtol=1e-15))
+        assert equal_cubic_coefficients(*cubic_coefficients(p, d))
+        report = classify_transition(p, d)
+        assert report.transition_type is TransitionType.TYPE_I
+        assert all(c.total == 0 for c in report.census.values())
+        assert any("continuum" in n for n in report.notes)
+        assert report.minimal_attractors is None
+        check = census_check(report, p, d)
+        assert check.matches, check.mismatches
 
     def test_marginal_discriminant_refused(self):
         def b1_at(gamma):

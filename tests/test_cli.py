@@ -166,6 +166,21 @@ class TestClassifyCommand:
         assert (out / "pes.json").exists()
         assert (out / "equilibria.json").exists()
 
+    def test_equal_sigma_continuum_exits_zero(self, tmp_path):
+        # 199/176 is the root of sigma1 - sigma2 in gamma at ubar 0.3 on
+        # (pi, pi, 1): the report declares the continuum of steady states,
+        # which the census check then accepts
+        text = BASE.replace("ubar = 0.5", "ubar = 0.3").replace(
+            "gamma = 1.0", "gamma = 1.1306818181818186"
+        ).replace("L2 = 2.0", "L2 = 3.141592653589793")
+        out = tmp_path / "out"
+        assert main(["classify", "--config", str(_write(tmp_path, text)), "--out", str(out),
+                     "--quiet"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["m"] == 2
+        assert any("continuum" in n for n in report["notes"])
+        assert json.loads((out / "equilibria.json").read_text())["matches"]
+
     def test_missing_key_exit_code(self, tmp_path, capsys):
         broken = BASE.replace("ubar = 0.5\n", "")
         code = main(

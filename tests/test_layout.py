@@ -71,21 +71,24 @@ def test_transforms_go_through_the_traced_entry_points(monkeypatch):
         stepper.step(s)
         dissipation(stepper, u.coeffs)
     s_h0 = SimState(u=u, t=0.0, T=0.2, params=PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.4))
-    Stepper(s_h0, StepConfig(dt=0.01, grid=grid)).step(s_h0)
+    steppers["h0"] = Stepper(s_h0, StepConfig(dt=0.01, grid=grid))
+    steppers["h0"].step(s_h0)
     free_energy(steppers["taylor"], u.coeffs)
     assert all(calls.values()), calls
 
     # one-axis calls per diagnostic: free_energy synthesises u once (3) and
     # takes its gradient energy from the coefficients; dissipation
-    # synthesises u (3), analyses the potential (3) and synthesises its
-    # gradient (9)
-    for diagnostic, rhs, expect in (
+    # synthesises u (3), analyses the potential (3) and, for a varying
+    # mobility, synthesises its gradient (9); a constant one takes the
+    # gradient energy of the potential from its coefficients
+    for diagnostic, stepper, expect in (
         (free_energy, "taylor", 3),
         (dissipation, "taylor", 15),
         (dissipation, "divergence", 15),
+        (dissipation, "h0", 6),
     ):
         calls.update(dict.fromkeys(calls, 0))
-        diagnostic(steppers[rhs], u.coeffs)
+        diagnostic(steppers[stepper], u.coeffs)
         assert sum(calls.values()) == expect, calls
 
 

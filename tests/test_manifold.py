@@ -288,6 +288,19 @@ class TestIntegration:
         diffs = np.diff(pots)
         assert diffs.max() <= 1e-10
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"steps": 10, "record_every": 0}, "record_every"),
+            ({"steps": 10, "record_every": -3}, "record_every"),
+            ({"steps": -2}, "steps"),
+        ],
+    )
+    def test_bad_counts_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            integrate_reduced(ReducedState(y=(0.01,), T=0.24), _params(0.5), D1, dt=0.05,
+                              **kwargs)
+
     def test_dt_stability_warning(self):
         p = _params(0.5)
         with pytest.warns(UserWarning):

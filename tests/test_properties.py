@@ -4,8 +4,10 @@ One conservative (``divergence``) step under any admissible quadratic
 mobility profile must not raise the free energy beyond criterion 8's
 per-step tolerance and keeps the mass at exactly zero; the sigma pair and
 the discriminants obey their identities at the critical temperature for
-any parameters with a supercritical regime; and the classifier's census
-rule agrees with direct enumeration of the equilibria on each box case.
+any parameters with a supercritical regime; the classifier's census
+rule agrees with direct enumeration of the equilibria on each box case;
+and the reduced system's float kernel gives numpy's array arithmetic to the
+bit.
 The examples are drawn deterministically (see the settings profile in
 ``conftest.py``).
 """
@@ -24,13 +26,19 @@ from chtransition import (
     MobilitySpec,
     PhysicalParams,
     SimState,
+    ReducedState,
     StepConfig,
     Stepper,
     census_check,
     classify_transition,
+    critical_set,
     critical_temperature,
+    cubic_coefficients,
     free_energy,
+    growth_rate,
+    integrate_reduced,
     random_initial_field,
+    reduced_vector_field,
     transition_discriminants,
 )
 
@@ -118,3 +126,67 @@ def test_census_rule_agrees_with_enumeration(case, R, gamma, alpha, ubar, l1, sh
     assert sum(c.total for c in report.census.values()) == 3**d.multiplicity - 1
     check = census_check(report, p, d)
     assert check.matches, check.mismatches
+
+
+def _array_field(y, beta, a1, a2):
+    s = float((y * y).sum())
+    return beta * y - y * (a1 * y * y + a2 * (s - y * y))
+
+
+def _array_rk4(y0, beta, a1, a2, dt, steps, record_every, blowup_norm):
+    """RK4 of the reduced system on numpy arrays: the formulation the
+    float kernel must reproduce to the bit."""
+    y = np.asarray(y0, dtype=float)
+    times, states, escaped = [0.0], [y.copy()], False
+    for n in range(1, steps + 1):
+        k1 = _array_field(y, beta, a1, a2)
+        k2 = _array_field(y + 0.5 * dt * k1, beta, a1, a2)
+        k3 = _array_field(y + 0.5 * dt * k2, beta, a1, a2)
+        k4 = _array_field(y + dt * k3, beta, a1, a2)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)) or float(np.abs(y).max()) > blowup_norm:
+            escaped = True
+            break
+        if n % record_every == 0 or n == steps:
+            times.append(n * dt)
+            states.append(y.copy())
+    return np.asarray(times), np.asarray(states), escaped
+
+
+@pytest.mark.parametrize("case", list(BOXES))
+@given(
+    ubar=st.floats(0.05, 0.95),
+    gamma=st.floats(2.0, 20.0),
+    shape=st.tuples(st.floats(0.5, 0.999), st.floats(0.3, 0.999)),
+    quench=st.floats(0.8, 1.2),
+    y0=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+    dt=st.sampled_from([0.05, 0.01, -0.02]),
+    steps=st.integers(0, 300),
+    record_every=st.integers(1, 40),
+    blowup_norm=st.sampled_from([1e6, 1.0, 0.3]),
+    sigma_at=st.sampled_from(["ambient", "critical"]),
+)
+# a jump transition above Tc: the orbit leaves through blowup_norm
+@example(ubar=0.32, gamma=10.0, shape=(0.7, 0.5), quench=1.02, y0=[0.4, 0.4, 0.4],
+         dt=0.05, steps=300, record_every=7, blowup_norm=1.0, sigma_at="critical")
+def test_reduced_kernel_matches_array_arithmetic(
+    case, ubar, gamma, shape, quench, y0, dt, steps, record_every, blowup_norm, sigma_at
+):
+    p = PhysicalParams(R=1.0, gamma=gamma, alpha=1.0, ubar=ubar)
+    d = DomainSpec(BOXES[case](math.pi, *shape))
+    T = quench * critical_temperature(p, d)
+    state = ReducedState(y=tuple(y0[: d.multiplicity]), T=T)
+    beta = growth_rate(critical_set(p, d).modes[0], T, p, d)
+    a1, a2 = cubic_coefficients(p, d, T=T if sigma_at == "ambient" else None)
+
+    field = reduced_vector_field(state, p, d, sigma_at=sigma_at)
+    assert field.tobytes() == _array_field(np.asarray(state.y), beta, a1, a2).tobytes()
+
+    traj = integrate_reduced(state, p, d, dt, steps, sigma_at=sigma_at,
+                             record_every=record_every, blowup_norm=blowup_norm)
+    times, states, escaped = _array_rk4(state.y, beta, a1, a2, dt, steps, record_every,
+                                        blowup_norm)
+    assert traj.escaped == escaped
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.shape == states.shape
+    assert traj.states.tobytes() == states.tobytes()

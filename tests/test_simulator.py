@@ -285,6 +285,32 @@ class TestDiagnosticReferences:
         expect = -integrate_grid(h * sum(d * d for d in g.gradient(mu)), D)
         assert dissipation(_diag_stepper(s, rhs), c) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("h0", [1.0, 0.7])
+    def test_constant_mobility_dissipation_by_parseval(self, h0):
+        # a constant mobility takes its gradient energy by Parseval; the
+        # constant profile `poly h0` under divergence keeps the quadrature
+        u = random_initial_field(D, self.SHAPE, 0.1, np.random.default_rng(5))
+        const = MobilityProfile(kind="polynomial", data=(h0,))
+        parseval, quadrature = (
+            dissipation(_diag_stepper(SimState(u=u, t=0.0, T=0.2, params=p), rhs), u.coeffs)
+            for p, rhs in (
+                (PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.4,
+                                mobility=MobilitySpec(h0=h0)), "taylor"),
+                (PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.4,
+                                mobility=MobilitySpec.from_profile(const, 0.4)), "divergence"),
+            )
+        )
+        assert parseval < 0.0
+        assert parseval == pytest.approx(quadrature, rel=1e-13, abs=0.0)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("record_every", [0, -3])
+    def test_record_every_below_one_rejected(self, record_every):
+        s = _state({(1, 0, 0): 0.01})
+        with pytest.raises(ValueError, match="record_every"):
+            simulate(s, StepConfig(dt=0.1, grid=SMALL), t_end=1.0, record_every=record_every)
+
 
 class TestConservation:
     def test_mass_pinned_exactly(self):
