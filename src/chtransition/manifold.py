@@ -52,6 +52,14 @@ __all__ = [
     "integrate_reduced",
 ]
 
+# Relative size below which the cubic data of the reduced system count as
+# degenerate: a gap between the two cubic coefficients, a cubic denominator
+# or a Jacobian eigenvalue, each against |a1| + |a2| (times the squared
+# amplitude for an eigenvalue).  One tolerance serves all three, so the
+# report, which asks only `equal_cubic_coefficients`, and the enumeration
+# always agree on the census.
+_DEGENERATE_RTOL = 1e-12
+
 
 class DegenerateCubicError(ValueError):
     """The cubic coefficients are degenerate (equal, or a family denominator
@@ -168,11 +176,11 @@ def cubic_coefficients(
 
 
 def equal_cubic_coefficients(a1: float, a2: float) -> bool:
-    """Whether the two cubic coefficients agree to rounding (relative
-    1e-12).  Then every direction is alike for ``m >= 2``: the steady
-    states on a side form a sphere, not isolated points."""
+    """Whether the two cubic coefficients agree to rounding (relative gap
+    at most 1e-12).  Then every direction is alike for ``m >= 2``: the
+    steady states on a side form a sphere, not isolated points."""
     scale = abs(a1) + abs(a2)
-    return scale == 0.0 or abs(a1 - a2) <= 1e-12 * scale
+    return scale == 0.0 or abs(a1 - a2) <= _DEGENERATE_RTOL * scale
 
 
 def _field(y, beta: float, a1: float, a2: float) -> tuple[float, ...]:
@@ -281,8 +289,7 @@ class Equilibrium:
 
 
 def _classify_eigs(eigs: np.ndarray, scale: float) -> EquilibriumKind:
-    tol = 1e-10 * scale
-    if np.any(np.abs(eigs) <= tol):
+    if np.any(np.abs(eigs) <= _DEGENERATE_RTOL * scale):
         return EquilibriumKind.DEGENERATE
     if np.all(eigs < 0.0):
         return EquilibriumKind.ATTRACTOR
@@ -323,7 +330,7 @@ def enumerate_equilibria(
     out: list[Equilibrium] = []
     for support_size in range(1, m + 1):
         denom = a1 + (support_size - 1) * a2
-        if abs(denom) <= 1e-12 * scale:
+        if abs(denom) <= _DEGENERATE_RTOL * scale:
             raise DegenerateCubicError(
                 f"vanishing cubic denominator for support size {support_size}"
             )
@@ -331,6 +338,10 @@ def enumerate_equilibria(
         if q <= 0.0:
             continue
         r = math.sqrt(q)
+        # a state on `support_size` modes has the eigenvalues -2*q*denom,
+        # -2*q*(a1 - a2) and q*(a1 - a2): past the guards each exceeds
+        # _DEGENERATE_RTOL*q*scale, and the half of it below leaves room for
+        # the rounding of eigvalsh
         for support in combinations_with_replacement(range(m), support_size):
             if len(set(support)) != support_size:
                 continue
@@ -340,13 +351,12 @@ def enumerate_equilibria(
                     y[idx] = sg * r
                 jac = _jacobian(y, beta, a1, a2)
                 eigs = np.linalg.eigvalsh(jac)
-                eig_scale = max(float(np.abs(eigs).max()), abs(beta), scale * q)
                 residual = max(abs(v) for v in _field(y.tolist(), beta, a1, a2))
                 out.append(
                     Equilibrium(
                         y=tuple(float(v) for v in y),
                         jacobian_eigs=tuple(float(v) for v in eigs),
-                        kind=_classify_eigs(eigs, eig_scale),
+                        kind=_classify_eigs(eigs, 0.5 * q * scale),
                         residual=residual,
                     )
                 )

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .params import DomainSpec
 
@@ -91,75 +90,78 @@ def collocation_points(n: int, length: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pruned transforms between midpoint-grid samples and basis coefficients
+# matrix-multiply transforms between midpoint-grid samples and coefficients
 #
-# Coefficient arrays are indexed [k1, k2, k3].  A field may be represented in
-# a mixed basis that is sine along one axis (slot j holds wavenumber j+1, as
-# produced by differentiating a cosine series); `sine_axis` selects it.  The
-# transforms run one axis at a time and are unscaled; `_norm` holds the
-# scaling.  Synthesis zero-extends one axis per pass and analysis truncates
-# after each pass, so no pass transforms lines that are all zero (FFT
-# pruning).  Every pass runs in place (``overwrite_x`` and no ``s``/``n``:
-# zero-extension by scipy would copy), so a caller that holds the arrays
-# allocates nothing on the padded grid.
+# Coefficient arrays are indexed [k1, k2, k3].  A transform is three
+# one-axis passes (`_pass`), each a BLAS matrix product against a dense
+# matrix of basis values along that axis: the matrix-multiplication
+# transform (Boyd, *Chebyshev and Fourier Spectral Methods*, ch. 10), which
+# costs less than an FFT at the band sizes used here.  A synthesis matrix
+# maps the band to the grid points and an analysis matrix the grid points
+# to the band, so no product touches the zero padding.  Along a derivative
+# axis the synthesis matrix holds the x-derivatives of the cosines (a sine
+# series, zero in the wavenumber-0 column), and the analysis matrix takes a
+# sine series to the cosine coefficients of its derivative (zero in the
+# wavenumber-0 row).
 # ---------------------------------------------------------------------------
 
 
-def _analyze(grid: np.ndarray, band: tuple[int, ...], sine_axis: int | None = None) -> np.ndarray:
-    """Unscaled DCT-II (DST-II along ``sine_axis``) of the samples, keeping
-    the first ``band[ax]`` outputs of each axis before the next pass.  The
-    passes run in place on ``grid``; the result is a view into it."""
-    c = grid
-    for ax in (2, 1, 0):
-        if ax == sine_axis:
-            c = scipy.fft.dst(c, type=2, axis=ax, overwrite_x=True)
-        else:
-            c = scipy.fft.dctn(c, type=2, axes=[ax], overwrite_x=True)
-        c = c[(slice(None),) * ax + (slice(0, band[ax]),)]
-    return c
+def _synthesis_matrix(n: int, m: int, length: float, derivative: bool = False) -> np.ndarray:
+    """(m, n) synthesis matrix: ``cos(k*pi*x/L)`` for ``k < n`` at the ``m``
+    midpoints ``x``, or its x-derivative."""
+    k = np.arange(n)
+    # the angle pi*k*(2j + 1)/(2m), reduced modulo 2*pi in exact integers
+    theta = (np.outer(2 * np.arange(m) + 1, k) % (4 * m)) * (math.pi / (2 * m))
+    if derivative:
+        return np.sin(theta) * (-math.pi / length * k)
+    return np.cos(theta)
 
 
-def _synthesize(
-    coeffs: np.ndarray, passes: list[np.ndarray], sine_axis: int | None = None
-) -> np.ndarray:
-    """Unscaled inverse of `_analyze`.  ``passes[ax]`` receives the pass
-    along axis ``ax`` (its shape is the grid size up to that axis and the
-    coefficients' size after it): the previous result goes into its front,
-    its tail is zeroed and the pass runs in place.  Returns the last one."""
+def _analysis_matrix(synthesis: np.ndarray, derivative: bool = False) -> np.ndarray:
+    """(n, m) analysis matrix of a `_synthesis_matrix`, from the discrete
+    orthogonality of cosines (sines) on the midpoint grid for wavenumbers
+    below ``m``: the cosine coefficients are ``1/m`` (``k = 0``) and ``2/m``
+    times the sums against the cosines; the derivative of a sine series has
+    cosine coefficients ``-2/m`` times its sums against the derivative
+    basis."""
+    m, n = synthesis.shape
+    w = np.full(n, -2.0 / m if derivative else 2.0 / m)
+    if not derivative:
+        w[0] = 1.0 / m
+    return w[:, None] * synthesis.T
+
+
+def _pass(x: np.ndarray, mat: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """One transform pass: ``x`` with its axis ``axis`` multiplied by
+    ``mat``, written into the C-contiguous ``out`` (fresh when ``None``)."""
+    if out is None:
+        out = np.empty(x.shape[:axis] + mat.shape[:1] + x.shape[axis + 1 :])
+    if axis == 0:
+        np.matmul(mat, x.reshape(x.shape[0], -1), out=out.reshape(out.shape[0], -1))
+    elif axis == 1:
+        np.matmul(mat, x, out=out)
+    else:
+        np.matmul(x.reshape(-1, x.shape[2]), mat.T, out=out.reshape(-1, out.shape[2]))
+    return out
+
+
+def _synthesize(coeffs: np.ndarray, mats, work=(None, None), out=None) -> np.ndarray:
+    """Samples of ``coeffs`` under the synthesis matrices ``mats`` (one per
+    axis), leading axis first; ``work`` receives the first two passes."""
     x = coeffs
-    for ax, buf in enumerate(passes):
-        n = x.shape[ax]
-        buf[(slice(None),) * ax + (slice(0, n),)] = x
-        buf[(slice(None),) * ax + (slice(n, None),)] = 0.0
-        if ax == sine_axis:
-            x = scipy.fft.idst(buf, type=2, axis=ax, overwrite_x=True)
-        else:
-            x = scipy.fft.idctn(buf, type=2, axes=[ax], overwrite_x=True)
+    for ax, dst in enumerate((*work, out)):
+        x = _pass(x, mats[ax], ax, dst)
     return x
 
 
-def _norm(
-    band: tuple[int, ...],
-    grid_shape: tuple[int, ...],
-    inverse: bool,
-    sine_axis: int | None = None,
-    k: np.ndarray | None = None,
-) -> np.ndarray:
-    """Band-shaped scale that turns the unscaled transforms into plain
-    amplitudes (``inverse``: the reverse), as the product of one vector per
-    axis.  Along ``sine_axis`` it includes the derivative factor of that
-    axis's wavenumbers ``k[1:]``: ``-k`` for synthesis, ``k`` for analysis (the
-    sine band never reaches the last grid slot, which would need a factor
-    of two)."""
-    out = np.ones(())
-    for ax, (n, m) in enumerate(zip(band, grid_shape)):
-        if ax == sine_axis:
-            w = -m * k[1 : n + 1] if inverse else k[1 : n + 1] / m
-        else:
-            w = np.full(n, float(m) if inverse else 1.0 / m)
-            w[0] = 2.0 * m if inverse else 0.5 / m
-        out = np.multiply.outer(out, w)
-    return out
+def _analyze(grid: np.ndarray, mats, work=(None, None)) -> np.ndarray:
+    """Fresh band coefficients of ``grid`` under the analysis matrices
+    ``mats``, last axis first; ``work`` receives the first two passes in
+    reverse order, so one pair of arrays serves `_synthesize` too."""
+    x = grid
+    for ax, dst in ((2, work[1]), (1, work[0]), (0, None)):
+        x = _pass(x, mats[ax], ax, dst)
+    return x
 
 
 class SpectralGrid:
@@ -168,17 +170,18 @@ class SpectralGrid:
     Products are formed on the grid padded by a factor of two per axis,
     which keeps the aliases of cubic products out of the band (Boyd,
     *Chebyshev and Fourier Spectral Methods*, ch. 11).  Coefficients go in
-    and come out with the band shape; the transforms skip the zero padding.
-    The instance holds its (frozen) domain and read-only arrays: ``k[a]``
-    are the wavenumbers ``j*pi/L_a`` along axis ``a`` up to the padded size,
-    ``rho`` is the Neumann-Laplacian eigenvalue of every band mode, and the
-    transform scales are built on first use.
+    and come out with the band shape.  The instance holds its (frozen)
+    domain and read-only arrays: ``k[a]`` are the wavenumbers ``j*pi/L_a``
+    along axis ``a`` up to the padded size and ``rho`` is the
+    Neumann-Laplacian eigenvalue of every band mode; the transform matrices
+    are built on first use.
 
-    The transforms run in place.  Synthesis and the gradient write into
-    caller-owned padded arrays (``out``; fresh ones without it) through the
-    grid's own two intermediate pass arrays, built on first use; analysis
-    and the divergence use their padded-grid input as scratch and overwrite
-    it.  Because of the pass arrays, one grid serves one thread at a time.
+    Synthesis and the gradient write into caller-owned padded arrays
+    (``out``, C-contiguous; fresh ones without it); analysis and the
+    divergence leave their padded input as it is and return fresh band
+    arrays.  Every transform runs through the grid's own two intermediate
+    pass arrays, built on first use, so one grid serves one thread at a
+    time.
     """
 
     def __init__(self, shape: tuple[int, int, int], domain: DomainSpec) -> None:
@@ -193,36 +196,40 @@ class SpectralGrid:
         self.rho = sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :]
         for a in (*self.k, self.rho):
             a.flags.writeable = False
-        self._scales: dict[tuple[bool, int | None], np.ndarray] = {}
-        self._pass_arrays: list[np.ndarray] = []
+        self._matrices: dict[tuple[bool, bool], list[np.ndarray]] = {}
+        self._pass_arrays: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _scale(self, inverse: bool, sine_axis: int | None = None) -> np.ndarray:
-        """`_norm` for this grid's band (one slot shorter along the sine
-        axis), built on first use."""
-        key = (inverse, sine_axis)
-        if key not in self._scales:
-            band = [n - (ax == sine_axis) for ax, n in enumerate(self.shape)]
-            k = None if sine_axis is None else self.k[sine_axis]
-            w = _norm(band, self.pad_shape, inverse, sine_axis, k)
-            w.flags.writeable = False
-            self._scales[key] = w
-        return self._scales[key]
+    def _passes(
+        self, analysis: bool, derivative_axis: int | None = None
+    ) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The per-axis matrices of one transform (derivative matrices along
+        ``derivative_axis``) and the two intermediate pass arrays, all built
+        on first use."""
+        if self._pass_arrays is None:
+            n0, n1, n2 = self.shape
+            m0, m1, _ = self.pad_shape
+            self._pass_arrays = (np.empty((m0, n1, n2)), np.empty((m0, m1, n2)))
+            for derivative in (False, True):
+                synthesis = [
+                    _synthesis_matrix(n, m, length, derivative)
+                    for n, m, length in zip(self.shape, self.pad_shape, self.domain.lengths)
+                ]
+                self._matrices[False, derivative] = synthesis
+                self._matrices[True, derivative] = [
+                    _analysis_matrix(a, derivative) for a in synthesis
+                ]
+        mats = [self._matrices[analysis, ax == derivative_axis][ax] for ax in range(3)]
+        return mats, self._pass_arrays
 
     def _synthesize_into(
-        self, coeffs: np.ndarray, out: np.ndarray | None, sine_axis: int | None = None
+        self, coeffs: np.ndarray, out: np.ndarray | None, derivative_axis: int | None = None
     ) -> np.ndarray:
-        """`_synthesize` through views of the two held intermediate pass
-        arrays (built on first use) into ``out`` (fresh when ``None``)."""
-        if not self._pass_arrays:
-            self._pass_arrays = [
-                np.empty(self.pad_shape[: ax + 1] + self.shape[ax + 1 :]) for ax in (0, 1)
-            ]
-        passes = [
-            a[tuple(slice(0, m) for m in self.pad_shape[: ax + 1] + coeffs.shape[ax + 1 :])]
-            for ax, a in enumerate(self._pass_arrays)
-        ]
-        passes.append(np.empty(self.pad_shape) if out is None else out)
-        return _synthesize(coeffs, passes, sine_axis)
+        if out is None:
+            out = np.empty(self.pad_shape)
+        elif out.shape != self.pad_shape or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous array of shape {self.pad_shape}")
+        mats, work = self._passes(False, derivative_axis)
+        return _synthesize(coeffs, mats, work, out)
 
     def padded(self, coeffs: np.ndarray) -> np.ndarray:
         """Band coefficients zero-extended to the padded shape."""
@@ -232,16 +239,14 @@ class SpectralGrid:
 
     def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Samples of band coefficients on the padded midpoint grid, written
-        into ``out`` when given.  Coefficients of another shape are rejected,
-        also where they would broadcast against the band."""
+        into ``out`` when given.  Coefficients of another shape are rejected."""
         if coeffs.shape != self.shape:
             raise ValueError(f"coefficients of shape {coeffs.shape} on the band {self.shape}")
-        return self._synthesize_into(coeffs * self._scale(True), out)
+        return self._synthesize_into(coeffs, out)
 
     def analyze(self, grid: np.ndarray) -> np.ndarray:
-        """Band coefficients of samples on the padded grid; the samples are
-        overwritten."""
-        return _analyze(np.asarray(grid, dtype=float), self.shape) * self._scale(False)
+        """Band coefficients of samples on the padded grid."""
+        return _analyze(np.asarray(grid, dtype=float), *self._passes(True))
 
     def gradient(
         self, coeffs: np.ndarray, out: list[np.ndarray] | None = None
@@ -250,9 +255,7 @@ class SpectralGrid:
         padded grid, written into the three arrays of ``out`` when given;
         each is a sine series along its own axis."""
         return [
-            self._synthesize_into(
-                coeffs[(slice(None),) * ax + (slice(1, None),)] * self._scale(True, ax), o, ax
-            )
+            self._synthesize_into(coeffs, o, ax)
             for ax, o in enumerate([None] * 3 if out is None else out)
         ]
 
@@ -262,13 +265,12 @@ class SpectralGrid:
         return float((self.rho * coeffs * coeffs * _norm_weights(self.shape, self.domain)).sum())
 
     def divergence(self, flux: list[np.ndarray]) -> np.ndarray:
-        """Band coefficients of ``div(flux)`` from padded-grid samples, which
-        are overwritten; flux component ``a`` is a sine series along axis
-        ``a``.  The result has exactly zero mean."""
+        """Band coefficients of ``div(flux)`` from padded-grid samples; flux
+        component ``a`` is a sine series along axis ``a``.  The result has
+        exactly zero mean."""
         total = np.zeros(self.shape)
         for ax, f in enumerate(flux):
-            w = self._scale(False, ax)
-            total[(slice(None),) * ax + (slice(1, None),)] += _analyze(f, w.shape, ax) * w
+            total += _analyze(f, *self._passes(True, ax))
         return total
 
 
@@ -331,17 +333,20 @@ def forward_transform(grid: np.ndarray, d: DomainSpec) -> SpectralField:
 
     The samples must have (numerically) zero mean.
     """
-    grid = np.array(grid, dtype=float)  # the transform overwrites its input
+    grid = np.asarray(grid, dtype=float)
     if grid.ndim != 3:
         raise ValueError(f"expected a three-dimensional grid, got shape {grid.shape}")
-    return SpectralField(_analyze(grid, grid.shape) * _norm(grid.shape, grid.shape, False), d)
+    mats = [
+        _analysis_matrix(_synthesis_matrix(n, n, length))
+        for n, length in zip(grid.shape, d.lengths)
+    ]
+    return SpectralField(_analyze(grid, mats), d)
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
     """Synthesise the field on its midpoint collocation grid."""
-    x = f.coeffs * _norm(f.grid_shape, f.grid_shape, True)
-    # the grid is the band: every pass runs in place on x
-    return _synthesize(x, [x, x, x])
+    mats = [_synthesis_matrix(n, n, length) for n, length in zip(f.grid_shape, f.domain.lengths)]
+    return _synthesize(f.coeffs, mats)
 
 
 # ---------------------------------------------------------------------------

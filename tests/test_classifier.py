@@ -37,6 +37,16 @@ def _signs(p, d):
     return tuple(1 if b > 0 else -1 for b in (disc.B1, disc.B2, disc.B3))
 
 
+def _equal_sigma_gamma(ubar, d):
+    """The gamma at which sigma1 = sigma2 (one root in (1.01, 5))."""
+
+    def gap(gamma):
+        disc = transition_discriminants(_params(ubar, gamma), d)
+        return disc.sigma1 - disc.sigma2
+
+    return brentq(gap, 1.01, 5.0, xtol=1e-15)
+
+
 class TestTypeDecision:
     def test_symmetric_always_continuous(self):
         for d in (D1, D2, D3):
@@ -114,11 +124,7 @@ class TestTypeDecision:
     def test_equal_sigma_is_a_continuum(self, d):
         # sigma1 == sigma2 at the critical temperature: the states below form
         # a sphere, which the report notes and the enumeration confirms
-        def gap(gamma):
-            disc = transition_discriminants(_params(0.3, gamma), d)
-            return disc.sigma1 - disc.sigma2
-
-        p = _params(0.3, brentq(gap, 1.01, 2.0, xtol=1e-15))
+        p = _params(0.3, _equal_sigma_gamma(0.3, d))
         assert equal_cubic_coefficients(*cubic_coefficients(p, d))
         report = classify_transition(p, d)
         assert report.transition_type is TransitionType.TYPE_I
@@ -127,6 +133,19 @@ class TestTypeDecision:
         assert report.minimal_attractors is None
         check = census_check(report, p, d)
         assert check.matches, check.mismatches
+
+    @pytest.mark.parametrize("rel", [1e-12, 1e-11])
+    @pytest.mark.parametrize("d", [D2, D3], ids=["m2", "m3"])
+    def test_census_agrees_next_to_equal_sigma(self, d, rel):
+        # the report and the enumeration apply one degeneracy tolerance, so
+        # just off the root they agree on a discrete census or on the
+        # continuum, never on neither
+        for ubar in (0.3, 0.35, 0.4):
+            gamma = _equal_sigma_gamma(ubar, d)
+            for g in (gamma * (1.0 - rel), gamma * (1.0 + rel)):
+                p = _params(ubar, g)
+                check = census_check(classify_transition(p, d), p, d)
+                assert check.matches, (ubar, g, check.mismatches)
 
     def test_marginal_discriminant_refused(self):
         def b1_at(gamma):

@@ -5,7 +5,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from chtransition import (
     DomainSpec,
@@ -15,8 +14,11 @@ from chtransition import (
     StepConfig,
     Stepper,
     dissipation,
+    forward_transform,
     free_energy,
+    inverse_transform,
     random_initial_field,
+    spectral,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chtransition"
@@ -35,26 +37,36 @@ def test_no_private_names_imported_across_modules():
     assert not offences, "private names imported across modules:\n" + "\n".join(offences)
 
 
-def test_transforms_go_through_the_traced_entry_points(monkeypatch):
-    # perfbench's tracer wraps scipy.fft.dctn, idctn, dst and idst on the
-    # scipy.fft module; a transform called by any other name, or bound
-    # before the tracer installs, would escape its counts
-    calls = dict.fromkeys(("dctn", "idctn", "dst", "idst"), 0)
+def test_no_module_imports_scipy():
+    # the library needs numpy alone; scipy is a test dependency
+    offences = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offences.extend(
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[0] == "scipy"
+            )
+    assert not offences, "scipy imported:\n" + "\n".join(offences)
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
 
-        return wrapper
+def test_transforms_run_through_the_pass_function(monkeypatch):
+    # every one-axis transform pass is one call of spectral._pass, so its
+    # count is the transform work of a call
+    calls = [0]
+    original = spectral._pass
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("transform outside scipy.fft.dctn/idctn/dst/idst")
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
 
-    for name in calls:
-        monkeypatch.setattr(scipy.fft, name, counted(name, getattr(scipy.fft, name)))
-    for name in ("dct", "idct", "dstn", "idstn"):
-        monkeypatch.setattr(scipy.fft, name, refuse)
+    monkeypatch.setattr(spectral, "_pass", counted)
 
     d = DomainSpec((math.pi, 2.0, 1.0))
     # ubar = 0.4 makes b2 nonzero, which the h1 flux needs for its last term
@@ -74,9 +86,22 @@ def test_transforms_go_through_the_traced_entry_points(monkeypatch):
     steppers["h0"] = Stepper(s_h0, StepConfig(dt=0.01, grid=grid))
     steppers["h0"].step(s_h0)
     free_energy(steppers["taylor"], u.coeffs)
-    assert all(calls.values()), calls
+    assert calls[0]
 
-    # one-axis calls per diagnostic: free_energy synthesises u once (3) and
+    g = steppers["taylor"].grid
+    for transform, arg, expect in (
+        (g.synthesize, u.coeffs, 3),
+        (g.analyze, g.synthesize(u.coeffs), 3),
+        (g.gradient, u.coeffs, 9),
+        (g.divergence, g.gradient(u.coeffs), 9),
+        (inverse_transform, u, 3),
+        (lambda samples: forward_transform(samples, d), inverse_transform(u), 3),
+    ):
+        calls[0] = 0
+        transform(arg)
+        assert calls[0] == expect, transform
+
+    # passes per diagnostic: free_energy synthesises u once (3) and
     # takes its gradient energy from the coefficients; dissipation
     # synthesises u (3), analyses the potential (3) and, for a varying
     # mobility, synthesises its gradient (9); a constant one takes the
@@ -87,9 +112,9 @@ def test_transforms_go_through_the_traced_entry_points(monkeypatch):
         (dissipation, "divergence", 15),
         (dissipation, "h0", 6),
     ):
-        calls.update(dict.fromkeys(calls, 0))
+        calls[0] = 0
         diagnostic(steppers[stepper], u.coeffs)
-        assert sum(calls.values()) == expect, calls
+        assert calls[0] == expect, (diagnostic, stepper)
 
 
 def _stepper_private_names() -> set[str]:
