@@ -36,6 +36,7 @@ from .manifold import (
     reduced_potential,
     reduced_vector_field,
     straight_line_orbits,
+    vanishing_cubic_denominator,
 )
 from .params import (
     Coefficients,

@@ -26,12 +26,12 @@ from .manifold import (
     cubic_coefficients,
     enumerate_equilibria,
     equal_cubic_coefficients,
+    vanishing_cubic_denominator,
 )
 from .params import (
     DomainSpec,
     PhysicalParams,
     critical_temperature,
-    derive_coefficients,
     transition_discriminants,
 )
 
@@ -152,10 +152,12 @@ class TransitionReport:
         return "\n".join(lines)
 
 
-def _marginal_guard(value: float, scale: float, name: str) -> None:
-    if abs(value) < 1e-12 * scale:
+def _marginal_guard(a1: float, a2: float, s: int) -> None:
+    """Refuse ``B_s`` when the states on ``s`` modes cannot be placed: the
+    test `enumerate_equilibria` applies to their cubic denominator."""
+    if vanishing_cubic_denominator(a1, a2, s):
         raise MarginalTransitionError(
-            f"{name} is marginal (|{name}| < 1e-12 * b3): "
+            f"B{s} is marginal (|a1 + (s-1)*a2| <= 1e-12 * (|a1| + |a2|) at s = {s}): "
             "undetermined by the cubic truncation"
         )
 
@@ -186,17 +188,18 @@ def classify_transition(p: PhysicalParams, d: DomainSpec) -> TransitionReport:
     saddle of the full dynamics, and the states lie on both sides when any
     lies below.
 
-    Raises ``MarginalTransitionError`` when ``B_m``, or a ``B_s`` that
-    places states, vanishes to rounding, since the cubic truncation cannot
-    then decide.
+    Raises ``MarginalTransitionError`` when some ``B_s`` (``s <= m``)
+    vanishes to rounding, since the cubic truncation cannot then decide.
+    The test is `vanishing_cubic_denominator` on ``a1 + (s-1)*a2``, the one
+    `enumerate_equilibria` applies, so the two refuse the same inputs.
     """
     tc = critical_temperature(p, d)
     disc = transition_discriminants(p, d)
-    b3 = derive_coefficients(p, tc).b3
+    a1, a2 = cubic_coefficients(p, d)
     m = d.multiplicity
     bs = (disc.B1, disc.B2, disc.B3)
     for s in (m, *range(1, m)):
-        _marginal_guard(bs[s - 1], b3, f"B{s}")
+        _marginal_guard(a1, a2, s)
     n = [2**s * math.comb(m, s) for s in range(1, m + 1)]
     below = sum(n_s for n_s, b in zip(n, bs) if b > 0)
     above = 3**m - 1 - below
@@ -215,7 +218,7 @@ def classify_transition(p: PhysicalParams, d: DomainSpec) -> TransitionReport:
         if m > 1:
             topology = f"S^{m - 1}"
             # the test `enumerate_equilibria` applies, on the same coefficients
-            if equal_cubic_coefficients(*cubic_coefficients(p, d)):
+            if equal_cubic_coefficients(a1, a2):
                 census = {Side.BELOW: SideCensus(), Side.ABOVE: SideCensus()}
                 notes.append(_CONTINUUM_NOTE)
             elif m == 3:
@@ -264,8 +267,7 @@ def bifurcated_amplitude(p: PhysicalParams, d: DomainSpec, T: float) -> float:
         raise ValueError("the closed-form amplitude law applies to a single critical mode")
     tc = critical_temperature(p, d)
     disc = transition_discriminants(p, d)
-    b3 = derive_coefficients(p, tc).b3
-    _marginal_guard(disc.B1, b3, "B1")
+    _marginal_guard(*cubic_coefficients(p, d), 1)
     if disc.B1 > 0 and T > tc:
         raise ValueError("continuous transition: bifurcated states exist below Tc only")
     if disc.B1 < 0 and T < tc:

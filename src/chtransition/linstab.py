@@ -11,8 +11,8 @@ its size (1, 2 or 3) follows the degeneracy of the box edges.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -49,12 +49,16 @@ def growth_rate(K: Mode, T: float, p: PhysicalParams, d: DomainSpec) -> float:
     return _growth_rates(laplacian_eigenvalue(K, d), T, p)
 
 
-def _growth_rates_scan(T: float, p: PhysicalParams, d: DomainSpec, k_max: int):
-    """All modes with indices up to ``k_max`` (zero mode excluded) in
-    lexicographic order, and their growth rates."""
-    modes = list(product(range(k_max + 1), repeat=3))[1:]
-    rho = SpectralGrid((k_max + 1,) * 3, d).rho.ravel()[1:]
-    return modes, _growth_rates(rho, T, p)
+@lru_cache(maxsize=None)
+def _scan_modes(k_max: int) -> tuple[Mode, ...]:
+    """All modes with indices up to ``k_max``, zero mode excluded, in
+    lexicographic order."""
+    return tuple(product(range(k_max + 1), repeat=3))[1:]
+
+
+def _scan(d: DomainSpec, k_max: int) -> tuple[tuple[Mode, ...], np.ndarray]:
+    """The scanned modes and their eigenvalues ``rho``, in the same order."""
+    return _scan_modes(k_max), SpectralGrid((k_max + 1,) * 3, d).rho.ravel()[1:]
 
 
 @dataclass(frozen=True)
@@ -139,19 +143,20 @@ def verify_pes(
     if not (min(t_grid) < tc < max(t_grid)):
         raise ValueError("temperature grid must bracket the critical temperature")
 
-    violations: list[str] = []
-    modes, beta_c = _growth_rates_scan(tc, p, d, k_max)
+    modes, rho = _scan(d, k_max)
+    beta_c = _growth_rates(rho, tc, p)
     scale = float(np.abs(beta_c).max())
-    crit = set(cset.modes)
-    margin = math.inf
-    for K, b in zip(modes, beta_c):
-        if K in crit:
-            if abs(b) > 1e-10 * scale:
-                violations.append(f"beta{K} = {b:.3e} does not vanish at Tc")
-        else:
-            margin = min(margin, abs(b))
-            if b >= 0.0:
-                violations.append(f"beta{K} = {b:.3e} >= 0 at Tc")
+    n = k_max + 1
+    crit = np.zeros(len(modes), dtype=bool)
+    crit[[i * n * n + j * n + k - 1 for i, j, k in cset.modes]] = True
+    bad = np.where(crit, np.abs(beta_c) > 1e-10 * scale, beta_c >= 0.0)
+    violations = [
+        f"beta{modes[i]} = {beta_c[i]:.3e} does not vanish at Tc"
+        if crit[i]
+        else f"beta{modes[i]} = {beta_c[i]:.3e} >= 0 at Tc"
+        for i in np.flatnonzero(bad).tolist()
+    ]
+    margin = float(np.abs(beta_c[~crit]).min())
     for T in t_grid:
         for K in cset.modes:
             b = growth_rate(K, T, p, d)
@@ -189,7 +194,7 @@ def critical_temperature_bisect(
         hi = 2.0 * p.gamma * u * (1.0 - u) / p.R  # all rates negative beyond this
         bracket = (1e-12 * hi, 1.01 * hi)
     lo, hi = bracket
-    rho = SpectralGrid((k_max + 1,) * 3, d).rho.ravel()[1:]
+    _, rho = _scan(d, k_max)
 
     def worst(T: float) -> float:
         return float(_growth_rates(rho, T, p).max())

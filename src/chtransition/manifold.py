@@ -20,7 +20,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations_with_replacement, product
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "cm_coefficients",
     "cubic_coefficients",
     "equal_cubic_coefficients",
+    "vanishing_cubic_denominator",
     "reduced_vector_field",
     "critical_vector_field",
     "reduced_potential",
@@ -183,6 +185,14 @@ def equal_cubic_coefficients(a1: float, a2: float) -> bool:
     return scale == 0.0 or abs(a1 - a2) <= _DEGENERATE_RTOL * scale
 
 
+def vanishing_cubic_denominator(a1: float, a2: float, s: int) -> bool:
+    """Whether the denominator ``a1 + (s-1)*a2`` of the states on ``s``
+    critical modes vanishes to rounding (at most 1e-12 of ``|a1| + |a2|``).
+    It is a positive multiple of ``B_s``, so the report refuses to place
+    those states exactly when the enumeration cannot find them."""
+    return abs(a1 + (s - 1) * a2) <= _DEGENERATE_RTOL * (abs(a1) + abs(a2))
+
+
 def _field(y, beta: float, a1: float, a2: float) -> tuple[float, ...]:
     """The reduced vector field at the amplitudes ``y`` (1 to 3 floats), on
     Python floats: on arrays this short numpy's per-call overhead outweighs
@@ -194,13 +204,6 @@ def _field(y, beta: float, a1: float, a2: float) -> tuple[float, ...]:
     for v in y:
         s += v * v
     return tuple(beta * v - v * (a1 * v * v + a2 * (s - v * v)) for v in y)
-
-
-def _jacobian(y: np.ndarray, beta: float, a1: float, a2: float) -> np.ndarray:
-    s = float((y * y).sum())
-    jac = -2.0 * a2 * np.outer(y, y)
-    np.fill_diagonal(jac, beta - 3.0 * a1 * y * y - a2 * (s - y * y))
-    return jac
 
 
 def reduced_vector_field(
@@ -288,14 +291,28 @@ class Equilibrium:
         }
 
 
-def _classify_eigs(eigs: np.ndarray, scale: float) -> EquilibriumKind:
-    if np.any(np.abs(eigs) <= _DEGENERATE_RTOL * scale):
-        return EquilibriumKind.DEGENERATE
-    if np.all(eigs < 0.0):
-        return EquilibriumKind.ATTRACTOR
-    if np.all(eigs > 0.0):
-        return EquilibriumKind.REPELLER
-    return EquilibriumKind.SADDLE
+_KINDS = (
+    EquilibriumKind.DEGENERATE,
+    EquilibriumKind.ATTRACTOR,
+    EquilibriumKind.REPELLER,
+    EquilibriumKind.SADDLE,
+)
+
+
+@lru_cache(maxsize=None)
+def _unit_states(m: int, s: int) -> np.ndarray:
+    """The states on ``s`` of ``m`` modes with unit amplitudes, one per
+    row: supports in lexicographic order, then signs with ``+`` first."""
+    rows = []
+    for support in combinations(range(m), s):
+        for signs in product((1.0, -1.0), repeat=s):
+            row = [0.0] * m
+            for idx, sg in zip(support, signs):
+                row[idx] = sg
+            rows.append(row)
+    out = np.array(rows)
+    out.flags.writeable = False
+    return out
 
 
 def enumerate_equilibria(
@@ -315,6 +332,9 @@ def enumerate_equilibria(
     (``sigma_at="critical"``), matching the classification theory;
     ``sigma_at="ambient"`` uses the requested temperature instead.
     Degenerate cubic coefficients raise ``DegenerateCubicError``.
+
+    All states are linearised at once: one stacked ``eigvalsh`` over their
+    Jacobians, which runs the same LAPACK routine on each matrix.
     """
     modes = _critical_modes(p, d, d.multiplicity)
     m = len(modes)
@@ -327,40 +347,48 @@ def enumerate_equilibria(
             "and cannot be enumerated as isolated points"
         )
 
-    out: list[Equilibrium] = []
+    states, tols = [], []
     for support_size in range(1, m + 1):
-        denom = a1 + (support_size - 1) * a2
-        if abs(denom) <= _DEGENERATE_RTOL * scale:
+        if vanishing_cubic_denominator(a1, a2, support_size):
             raise DegenerateCubicError(
                 f"vanishing cubic denominator for support size {support_size}"
             )
-        q = beta / denom
+        q = beta / (a1 + (support_size - 1) * a2)
         if q <= 0.0:
             continue
-        r = math.sqrt(q)
+        block = _unit_states(m, support_size) * math.sqrt(q)
+        states.append(block)
         # a state on `support_size` modes has the eigenvalues -2*q*denom,
         # -2*q*(a1 - a2) and q*(a1 - a2): past the guards each exceeds
         # _DEGENERATE_RTOL*q*scale, and the half of it below leaves room for
         # the rounding of eigvalsh
-        for support in combinations_with_replacement(range(m), support_size):
-            if len(set(support)) != support_size:
-                continue
-            for signs in product((1.0, -1.0), repeat=support_size):
-                y = np.zeros(m)
-                for idx, sg in zip(support, signs):
-                    y[idx] = sg * r
-                jac = _jacobian(y, beta, a1, a2)
-                eigs = np.linalg.eigvalsh(jac)
-                residual = max(abs(v) for v in _field(y.tolist(), beta, a1, a2))
-                out.append(
-                    Equilibrium(
-                        y=tuple(float(v) for v in y),
-                        jacobian_eigs=tuple(float(v) for v in eigs),
-                        kind=_classify_eigs(eigs, 0.5 * q * scale),
-                        residual=residual,
-                    )
-                )
-    return out
+        tols += [_DEGENERATE_RTOL * (0.5 * q * scale)] * len(block)
+    if not states:
+        return []
+
+    # the amplitudes on a support are all equal in size, so every order of
+    # summing their squares rounds alike
+    y = np.concatenate(states)
+    yy = y * y
+    s = yy.sum(axis=1)[:, None]
+    jac = -2.0 * a2 * (y[:, :, None] * y[:, None, :])
+    diag = np.arange(m)
+    jac[:, diag, diag] = beta - 3.0 * a1 * y * y - a2 * (s - yy)
+    eigs = np.linalg.eigvalsh(jac)
+    # indices into _KINDS: a degenerate eigenvalue first, then the signs
+    kinds = np.where(
+        (np.abs(eigs) <= np.array(tols)[:, None]).any(axis=1),
+        0,
+        np.where((eigs < 0.0).all(axis=1), 1, np.where((eigs > 0.0).all(axis=1), 2, 3)),
+    )
+    field = beta * y - y * (a1 * y * y + a2 * (s - yy))
+    residual = np.abs(field).max(axis=1)
+    return [
+        Equilibrium(y=tuple(yi), jacobian_eigs=tuple(ei), kind=_KINDS[k], residual=r)
+        for yi, ei, k, r in zip(
+            y.tolist(), eigs.tolist(), kinds.tolist(), residual.tolist()
+        )
+    ]
 
 
 def straight_line_orbits(m: int) -> list[np.ndarray]:

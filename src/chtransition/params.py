@@ -83,7 +83,8 @@ class MobilityProfile:
     def __call__(self, s, out=None):
         """``H(s)``, written into ``out`` (shaped like ``s``) when given.  A
         polynomial is evaluated in place by Horner's rule, rounded as numpy's
-        ``polyval``."""
+        ``polyval``; a table as ``np.interp``, without a temporary the size
+        of ``s``."""
         s = np.asarray(s, dtype=float)
         if self.kind == "polynomial":
             out = np.multiply(s, 0.0, out=out)
@@ -92,12 +93,19 @@ class MobilityProfile:
                 out *= s
                 out += c
             return out
+        # np.interp chunk by chunk: its bits, with a temporary of one chunk
+        # in place of one the size of ``s``
         xs, hs = self.data
-        h = np.interp(s, xs, hs)
-        if out is None:
-            return h
-        out[...] = h
-        return out
+        h = np.empty_like(s) if out is None else out
+        with np.nditer(
+            [s, h],
+            flags=["external_loop", "buffered", "zerosize_ok"],
+            op_flags=[["readonly"], ["writeonly"]],
+            buffersize=4096,
+        ) as chunks:
+            for x, y in chunks:
+                y[...] = np.interp(x, xs, hs)
+        return h[()] if out is None else h
 
     def taylor_data(self, ubar: float) -> tuple[float, float, float]:
         """``(H(ubar), H'(ubar), H''(ubar))``, exact for both kinds.  A table

@@ -43,6 +43,11 @@ Mode = tuple[int, int, int]
 
 
 def _check_mode(K) -> Mode:
+    # the common case, a tuple of three built-in ints, is accepted as it is
+    if type(K) is tuple and len(K) == 3:
+        i, j, k = K
+        if type(i) is type(j) is type(k) is int and min(i, j, k) >= 0 and (i or j or k):
+            return K
     k = tuple(int(v) for v in K)
     if len(k) != 3 or any(v < 0 for v in k) or any(v != float(w) for v, w in zip(k, K)):
         raise ValueError(f"mode index must be three nonnegative integers, got {K!r}")

@@ -382,9 +382,10 @@ def test_criterion_10_linear_regime_spectrum():
     T = 0.24
     grid = (16, 16, 16)
     # the twenty least-damped modes
-    from chtransition.linstab import _growth_rates_scan
+    from chtransition.linstab import _growth_rates, _scan
 
-    modes, beta = _growth_rates_scan(T, p, d, k_max=4)
+    modes, rho = _scan(d, k_max=4)
+    beta = _growth_rates(rho, T, p)
     order = np.argsort(-beta)
     chosen = [modes[i] for i in order[:20]]
     amp0 = 1e-7

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from chtransition import (
+    DegenerateCubicError,
     DomainSpec,
     MarginalTransitionError,
     MobilitySpec,
@@ -16,8 +17,10 @@ from chtransition import (
     classify_transition,
     critical_temperature,
     cubic_coefficients,
+    enumerate_equilibria,
     equal_cubic_coefficients,
     transition_discriminants,
+    vanishing_cubic_denominator,
 )
 
 D1 = DomainSpec((math.pi, 2.0, 1.0))
@@ -146,6 +149,37 @@ class TestTypeDecision:
                 p = _params(ubar, g)
                 check = census_check(classify_transition(p, d), p, d)
                 assert check.matches, (ubar, g, check.mismatches)
+
+    @pytest.mark.parametrize(
+        "d,s", [(D1, 1), (D2, 1), (D2, 2), (D3, 1), (D3, 2), (D3, 3)],
+        ids=["m1-B1", "m2-B1", "m2-B2", "m3-B1", "m3-B2", "m3-B3"],
+    )
+    def test_census_agrees_next_to_a_B_root(self, d, s):
+        # the report refuses B_s by the test the enumeration applies to the
+        # cubic denominator, so next to a root of B_s the two both refuse or
+        # agree on the census
+        def b_s(gamma):
+            disc = transition_discriminants(_params(ubar, gamma), d)
+            return (disc.B1, disc.B2, disc.B3)[s - 1]
+
+        refused = 0
+        for ubar in (0.30, 0.35, 0.40, 0.435):
+            root = brentq(b_s, 0.5 + 1e-7, 1e4, xtol=1e-15)
+            for rel in (0.0, 1e-12, -1e-12, 1e-11, -1e-11, 1e-10, -1e-10, 1e-9, -1e-9):
+                p = _params(ubar, root * (1.0 + rel))
+                try:
+                    report = classify_transition(p, d)
+                except MarginalTransitionError:
+                    refused += 1
+                    assert vanishing_cubic_denominator(*cubic_coefficients(p, d), s)
+                    tc = critical_temperature(p, d)
+                    for T in (0.98 * tc, 1.02 * tc):
+                        with pytest.raises(DegenerateCubicError):
+                            enumerate_equilibria(p, d, T)
+                    continue
+                check = census_check(report, p, d)
+                assert check.matches, (ubar, rel, check.mismatches)
+        assert refused  # the scan reaches the window where both refuse
 
     def test_marginal_discriminant_refused(self):
         def b1_at(gamma):

@@ -13,7 +13,9 @@ from chtransition import (
     SimState,
     StepConfig,
     Stepper,
+    critical_temperature,
     dissipation,
+    enumerate_equilibria,
     forward_transform,
     free_energy,
     inverse_transform,
@@ -115,6 +117,24 @@ def test_transforms_run_through_the_pass_function(monkeypatch):
         calls[0] = 0
         diagnostic(steppers[stepper], u.coeffs)
         assert calls[0] == expect, (diagnostic, stepper)
+
+
+def test_enumeration_linearises_the_states_together(monkeypatch):
+    # the Jacobians of all states go to eigvalsh stacked: at most one call
+    # per support size, not one per state (26 on an m = 3 box)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    p = PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.3)
+    d = DomainSpec((math.pi, math.pi, math.pi))
+    eqs = enumerate_equilibria(p, d, 0.98 * critical_temperature(p, d))
+    assert len(eqs) == 26
+    assert 1 <= len(calls) <= d.multiplicity, calls
 
 
 def _stepper_private_names() -> set[str]:

@@ -14,7 +14,7 @@ from chtransition import (
     growth_rate,
     verify_pes,
 )
-from chtransition.linstab import _growth_rates_scan
+from chtransition.linstab import _growth_rates, _scan
 from conftest import draw_params
 
 
@@ -95,20 +95,38 @@ class TestPES:
     def test_all_negative_above_tc(self, canonical):
         p, d = canonical
         tc = critical_temperature(p, d)
-        _, beta = _growth_rates_scan(tc + 0.01, p, d, k_max=8)
+        beta = _growth_rates(_scan(d, k_max=8)[1], tc + 0.01, p)
         assert (beta < 0).all()
 
     def test_exactly_m_positive_below_tc(self, canonical):
         p, d = canonical
         tc = critical_temperature(p, d)
-        _, beta = _growth_rates_scan(tc - 0.01, p, d, k_max=8)
+        beta = _growth_rates(_scan(d, k_max=8)[1], tc - 0.01, p)
         assert (beta > 0).sum() == 1
 
         p2 = PhysicalParams(R=1, gamma=3, alpha=1, ubar=0.5)
         d2 = DomainSpec((2.0, 2.0, 2.0))
         tc2 = critical_temperature(p2, d2)
-        _, beta2 = _growth_rates_scan(tc2 * 0.99, p2, d2, k_max=8)
+        beta2 = _growth_rates(_scan(d2, k_max=8)[1], tc2 * 0.99, p2)
         assert (beta2 > 0).sum() == 3
+
+    def test_violations_in_mode_order(self):
+        # a loose tie tolerance declares (0,0,1) and (0,1,0) critical on a
+        # box where they are not: neither vanishes at Tc
+        p = PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.5)
+        d = DomainSpec((math.pi, math.pi * (1 - 5e-4), math.pi * (1 - 1e-3)), tie_tolerance=6e-4)
+        report = verify_pes(p, d, k_max=2)
+        assert report.critical_modes == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        modes, rho = _scan(d, k_max=2)
+        beta = _growth_rates(rho, critical_temperature(p, d), p)
+        assert (modes[0], modes[2], modes[8]) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+        assert report.violations == (
+            f"beta(0, 0, 1) = {beta[0]:.3e} does not vanish at Tc",
+            f"beta(0, 1, 0) = {beta[2]:.3e} does not vanish at Tc",
+        )
+        noncritical = np.ones(len(modes), dtype=bool)
+        noncritical[[0, 2, 8]] = False
+        assert report.margin == np.abs(beta[noncritical]).min()
 
     def test_report_serialises(self, canonical):
         p, d = canonical

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from chtransition import (
     straight_line_orbits,
     transition_discriminants,
 )
+from chtransition.manifold import _field
 from conftest import draw_params
 
 D1 = DomainSpec((math.pi, 2.0, 1.0))
@@ -209,6 +211,68 @@ class TestEquilibria:
         eqs = enumerate_equilibria(p, D1, 1.02 * tc)
         assert len(eqs) == 2
         assert all(e.kind is EquilibriumKind.REPELLER for e in eqs)
+
+
+class TestBatchedEnumeration:
+    """`enumerate_equilibria` linearises every state in one stacked
+    ``eigvalsh``; a per-state oracle with the single-matrix Jacobian must give
+    the same bits in the same order."""
+
+    @staticmethod
+    def _oracle(p, d, T, sigma_at):
+        m = d.multiplicity
+        beta = growth_rate((1, 0, 0), T, p, d)
+        a1, a2 = cubic_coefficients(p, d, T=T if sigma_at == "ambient" else None)
+        scale = abs(a1) + abs(a2)
+        out = []
+        for k in range(1, m + 1):
+            denom = a1 + (k - 1) * a2
+            q = beta / denom
+            if q <= 0.0:
+                continue
+            r = math.sqrt(q)
+            for support in combinations(range(m), k):
+                for signs in product((1.0, -1.0), repeat=k):
+                    y = np.zeros(m)
+                    for i, sg in zip(support, signs):
+                        y[i] = sg * r
+                    s = float((y * y).sum())
+                    jac = -2.0 * a2 * np.outer(y, y)
+                    np.fill_diagonal(jac, beta - 3.0 * a1 * y * y - a2 * (s - y * y))
+                    eigs = np.linalg.eigvalsh(jac)
+                    if np.any(np.abs(eigs) <= 1e-12 * (0.5 * q * scale)):
+                        kind = EquilibriumKind.DEGENERATE
+                    elif np.all(eigs < 0.0):
+                        kind = EquilibriumKind.ATTRACTOR
+                    elif np.all(eigs > 0.0):
+                        kind = EquilibriumKind.REPELLER
+                    else:
+                        kind = EquilibriumKind.SADDLE
+                    residual = max(abs(v) for v in _field(y.tolist(), beta, a1, a2))
+                    closed = [-2.0 * q * denom] + [-2.0 * q * (a1 - a2)] * (k - 1)
+                    closed += [q * (a1 - a2)] * (m - k)
+                    out.append((tuple(y.tolist()), tuple(eigs.tolist()), kind, residual, closed))
+        return out
+
+    @pytest.mark.parametrize("sigma_at", ["critical", "ambient"])
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+    @pytest.mark.parametrize("ubar,gamma", [(0.3, 1.0), (0.32, 10.0)], ids=["typeI", "typeII"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_per_state_oracle_to_the_bit(self, m, ubar, gamma, side, sigma_at):
+        p, d = _params(ubar, gamma), DOMAINS[m]
+        T = critical_temperature(p, d) * (1.0 + 0.02 * side)
+        got = enumerate_equilibria(p, d, T, sigma_at=sigma_at)
+        expect = self._oracle(p, d, T, sigma_at)
+        assert len(got) == len(expect)
+        for e, (y, eigs, kind, residual, closed) in zip(got, expect):
+            assert e.y == y
+            assert e.jacobian_eigs == eigs
+            assert e.kind is kind
+            assert e.residual == residual
+            assert all(type(v) is float for v in (*e.y, *e.jacobian_eigs, e.residual))
+            np.testing.assert_allclose(
+                e.jacobian_eigs, sorted(closed), rtol=0.0, atol=1e-12 * max(map(abs, closed))
+            )
 
 
 class TestStraightLines:

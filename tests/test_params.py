@@ -153,6 +153,30 @@ class TestMobilityProfile:
         assert prof.taylor_data(0.75) == pytest.approx((1.2, -0.8, 0.0), rel=1e-15)
         assert prof.taylor_data(0.125) == pytest.approx((1.1, 0.8, 0.0), rel=1e-15)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_table_profile_matches_interp_to_the_bit(self, seed):
+        # the chunked evaluation rounds as np.interp, in any memory layout:
+        # inside the segments, at and next to every knot, at both ends and
+        # beyond them
+        rng = np.random.default_rng(seed)
+        xs = np.unique(rng.uniform(-0.5, 1.5, 2 + 3 * seed))
+        hs = rng.uniform(0.1, 3.0, xs.size)
+        prof = MobilityProfile(kind="table", data=(xs, hs), lower_bound=0.05)
+        s = np.concatenate([
+            rng.uniform(-1.0, 2.0, 3000), xs,
+            np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf),
+            [-np.inf, np.inf, -1e300, 1e300, -0.0, 0.0],
+        ]).reshape(3, -1)
+        expect = np.interp(s, xs, hs)
+        out = np.full_like(s, np.nan)
+        assert prof(s, out=out) is out
+        strided = np.full((s.shape[1], 2 * s.shape[0]), np.nan)[:, ::2].T
+        prof(s.T.copy().T, out=strided)
+        for got in (out, prof(s), strided):
+            assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+        assert np.isnan(prof(np.array([np.nan, 0.5]))[0])
+        assert prof(float(xs[-1])) == hs[-1]
+
     def test_table_knot_has_no_taylor_data(self):
         prof = MobilityProfile(
             kind="table", data=((0.0, 0.5, 1.0), (1.0, 1.4, 1.0)), lower_bound=0.5

@@ -513,10 +513,23 @@ class TestTaylorFlux:
 class TestHeldArrays:
     """A stepper holds its padded-grid arrays: steady stepping allocates
     none, and reusing them carries no state from one call to the next.  The
-    cases are the diagnostic references' (b2 != 0 in both non-h0 cases)."""
+    cases are the diagnostic references' (b2 != 0 in both non-h0 cases) and
+    a table profile whose knots the samples cross."""
 
     GRID = (10, 12, 14)
-    CASES = TestDiagnosticReferences.CASES
+    TABLE = MobilityProfile(
+        kind="table", data=((0.0, 0.3, 0.37, 0.45, 1.0), (0.9, 1.0, 1.2, 1.1, 0.7))
+    )
+    CASES = {
+        **TestDiagnosticReferences.CASES,
+        "divergence-table": (
+            PhysicalParams(
+                R=1, gamma=1, alpha=1, ubar=0.4,
+                mobility=MobilitySpec.from_profile(TABLE, 0.4),
+            ),
+            "divergence",
+        ),
+    }
 
     def _stepper(self, case, scheme="imex1", seed=3):
         p, rhs = self.CASES[case]

@@ -22,6 +22,7 @@ from chtransition import (
 )
 from chtransition.spectral import (
     SpectralGrid,
+    _check_mode,
     collocation_points,
     integrate_grid,
     load_grid,
@@ -96,6 +97,57 @@ class TestEigenvalues:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             laplacian_eigenvalue((-1, 0, 0), D)
+
+
+class TestModeIndexCheck:
+    """What a mode index may be: three nonnegative integral numbers, not all
+    zero, in any sequence; the result is a tuple of built-in ints."""
+
+    @pytest.mark.parametrize(
+        "K,expect",
+        [
+            ((1, 0, 0), (1, 0, 0)),
+            ((0, 2, 7), (0, 2, 7)),
+            ((np.int64(1), np.int32(0), 2), (1, 0, 2)),
+            ((1.0, 0.0, 2.0), (1, 0, 2)),
+            ((np.float64(3.0), 0, 0), (3, 0, 0)),
+            ((True, False, False), (1, 0, 0)),
+            ((0, -0.0, 1), (0, 0, 1)),
+            ([1, 2, 3], (1, 2, 3)),
+            (np.array([0, 0, 1]), (0, 0, 1)),
+            (np.array([2.0, 1.0, 0.0]), (2, 1, 0)),
+            (range(1, 4), (1, 2, 3)),
+        ],
+        ids=repr,
+    )
+    def test_accepts(self, K, expect):
+        got = _check_mode(K)
+        assert got == expect
+        assert type(got) is tuple and all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize(
+        "K",
+        [
+            (1.5, 0, 0),
+            (0, 0, 0.5),
+            (-1, 0, 0),
+            (0, np.int64(-2), 1),
+            (0, 0, 0),
+            (0.0, 0.0, 0.0),
+            (False, False, False),
+            [0, 0, 0],
+            np.zeros(3, dtype=int),
+            (1, 2),
+            (1, 2, 3, 4),
+            [1, 0],
+            np.array([1, 0, 0, 0]),
+            (),
+        ],
+        ids=repr,
+    )
+    def test_rejects(self, K):
+        with pytest.raises(ValueError):
+            _check_mode(K)
 
 
 class TestEvalMode:
