@@ -66,10 +66,8 @@ from .simulator import (
 from .spectral import (
     Mode,
     SpectralField,
-    eval_mode,
     field_from_modes,
     forward_transform,
-    grad_triple_product,
     inverse_transform,
     laplacian_eigenvalue,
     mode_l2_norm_sq,

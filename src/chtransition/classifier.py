@@ -16,6 +16,7 @@ two sides.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -275,14 +276,6 @@ def bifurcated_amplitude(p: PhysicalParams, d: DomainSpec, T: float) -> float:
     return _square_root_coefficient(p, disc.B1, abs(tc - T))
 
 
-def _full_system_kind(e: Equilibrium) -> str:
-    if e.kind is EquilibriumKind.ATTRACTOR:
-        return "attractor"
-    if e.kind is EquilibriumKind.DEGENERATE:
-        return "degenerate"
-    return "saddle"
-
-
 @dataclass(frozen=True)
 class CensusCheck:
     """Comparison of the theorem census against direct enumeration."""
@@ -333,13 +326,15 @@ def census_check(
             observed[side] = SideCensus()
             equilibria[side] = ()
             continue
-        kinds = [_full_system_kind(e) for e in eqs]
+        kinds = Counter(e.kind for e in eqs)
+        # a repelling state of the reduced system is a saddle of the full one
         observed[side] = SideCensus(
-            attractors=kinds.count("attractor"), saddles=kinds.count("saddle")
+            attractors=kinds[EquilibriumKind.ATTRACTOR],
+            saddles=kinds[EquilibriumKind.SADDLE] + kinds[EquilibriumKind.REPELLER],
         )
         equilibria[side] = tuple(eqs)
-        if kinds.count("degenerate"):
-            mismatches.append(f"{side.value}: {kinds.count('degenerate')} degenerate points")
+        if degenerate := kinds[EquilibriumKind.DEGENERATE]:
+            mismatches.append(f"{side.value}: {degenerate} degenerate points")
     for side in (Side.BELOW, Side.ABOVE):
         exp = report.census.get(side, SideCensus())
         obs = observed[side]

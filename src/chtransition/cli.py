@@ -210,8 +210,6 @@ def cmd_sweep(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
         raise ConfigError("the amplitude sweep applies to a single critical mode (m = 1)")
     tc = critical_temperature(cfg.physical, cfg.domain)
     eps = sorted(cfg.sweep.epsilons)
-    if any(e <= 0 or e >= 1 for e in eps):
-        raise ConfigError("sweep epsilons must lie in (0, 1)")
     with ThreadPoolExecutor(max_workers=cfg.sweep.workers) as pool:
         points = list(pool.map(lambda e: _sweep_point(cfg, seed, e, tc), eps))
     points.sort()
@@ -313,6 +311,12 @@ def cmd_validate(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
     return 0
 
 
+def _seed(s: str) -> int:
+    if not s.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {s!r}")
+    return int(s)
+
+
 _COMMANDS = {
     "classify": cmd_classify,
     "simulate": cmd_simulate,
@@ -334,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to the run configuration")
         sp.add_argument("--out", default="out", help="output directory (default: ./out)")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+        sp.add_argument("--seed", type=_seed, default=None, help="override the config seed")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
         sp.set_defaults(func=func)
     return parser

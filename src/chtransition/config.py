@@ -26,21 +26,28 @@ or, in place of H0-H2, which it then defines (setting both is an error):
     L3 = 1.0
 
 The degeneracy case of the box follows from L1-L3 (equal under
-``tie_tolerance``); there is no ``case`` key.  Unknown keys and sections
-are rejected with the offending line number, and so are values out of
-range: ``dt`` (in [simulate] and [reduce]), ``t_end`` and
-``relaxation_times`` must be positive; ``record_every`` (in [simulate] and
-[reduce]), ``steps``, ``workers`` and ``band_limit`` at least 1; each
-``grid`` size at least 6; ``stabilization``, ``seed_amplitude`` and
-``tie_tolerance`` nonnegative.
+``tie_tolerance``); there is no ``case`` key.  Each of the sections
+[simulate], [reduce], [sweep] and [validate] is one settings dataclass
+whose fields carry each key's default and converter.  Unknown keys and
+sections are rejected with the offending line number, and so are values
+out of range:
+
+- positive: ``dt`` (in [simulate] and [reduce]), ``t_end``,
+  ``relaxation_times``;
+- at least 1: ``record_every`` (in [simulate] and [reduce]), ``steps``,
+  ``workers``, ``band_limit``;
+- at least 6: each ``grid`` size;
+- nonnegative: ``stabilization``, ``seed_amplitude``, ``tie_tolerance``,
+  ``seed``;
+- inside (0, 1): each of ``epsilons``;
+- ``seed_modes``: distinct modes, each three nonnegative integers, not all
+  zero, below the ``grid`` size along each axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field, fields
 
 from .params import (
     DomainSpec,
@@ -48,7 +55,8 @@ from .params import (
     MobilitySpec,
     PhysicalParams,
 )
-from .spectral import Mode
+from .simulator import StepConfig
+from .spectral import Mode, field_from_modes
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_kv_file"]
 
@@ -141,10 +149,6 @@ def _as_float(s: str) -> float:
     return v
 
 
-def _as_int(s: str) -> int:
-    return int(s)
-
-
 def _at_least(conv, lo, strict: bool = False):
     """``conv`` with a range rule: the value must reach ``lo``, or exceed it
     when ``strict``."""
@@ -160,7 +164,7 @@ def _at_least(conv, lo, strict: bool = False):
 
 _positive = _at_least(_as_float, 0.0, strict=True)
 _nonnegative = _at_least(_as_float, 0.0)
-_count = _at_least(_as_int, 1)
+_count = _at_least(int, 1)
 
 
 def _as_bool(s: str) -> bool:
@@ -179,12 +183,19 @@ def _as_floats(s: str) -> tuple[float, ...]:
     return tuple(_as_float(p) for p in parts)
 
 
+def _as_epsilons(s: str) -> tuple[float, ...]:
+    eps = _as_floats(s)
+    if not all(0.0 < e < 1.0 for e in eps):
+        raise ValueError("each must lie in (0, 1)")
+    return eps
+
+
 def _as_grid(s: str) -> tuple[int, int, int]:
     parts = s.replace(",", " ").split()
     if len(parts) not in (1, 3):
         raise ValueError("expected one or three grid sizes")
     # the smallest grid a StepConfig accepts
-    sizes = tuple(_at_least(_as_int, 6)(p) for p in parts)
+    sizes = tuple(_at_least(int, 6)(p) for p in parts)
     return sizes * 3 if len(sizes) == 1 else sizes  # type: ignore[return-value]
 
 
@@ -233,46 +244,57 @@ def _as_modes(s: str) -> dict[Mode, float]:
         k = tuple(int(v) for v in idx.split())
         if len(k) != 3:
             raise ValueError(f"mode index needs three integers, got {idx!r}")
+        if k in out:
+            raise ValueError(f"mode {k} given twice")
         out[k] = _as_float(amp)
     if not out:
         raise ValueError("expected at least one mode")
     return out
 
 
+def _setting(conv, default):
+    """A settings field: its default and the converter of its config value."""
+    return field(default=default, metadata={"conv": conv})
+
+
+# the stepping settings a StepConfig shares take its defaults
+_STEP = {f.name: f.default for f in fields(StepConfig)}
+
+
 @dataclass(frozen=True)
 class SimulateSettings:
-    grid: tuple[int, int, int] = (32, 32, 32)
-    dt: float = 0.05
-    t_end: float = 200.0
-    record_every: int = 10
-    scheme: str = "imex1"
-    rhs: str = "taylor"
-    stabilization: float = 0.0
-    seed_amplitude: float = 1e-3
-    band_limit: int = 4
-    seed_modes: dict[Mode, float] | None = None
-    save_final_field: bool = False
+    grid: tuple[int, int, int] = _setting(_as_grid, _STEP["grid"])
+    dt: float = _setting(_positive, 0.05)
+    t_end: float = _setting(_positive, 200.0)
+    record_every: int = _setting(_count, 10)
+    scheme: str = _setting(_as_choice("imex1", "imex2"), _STEP["scheme"])
+    rhs: str = _setting(_as_choice("taylor", "divergence"), _STEP["rhs"])
+    stabilization: float = _setting(_nonnegative, _STEP["stabilization"])
+    seed_amplitude: float = _setting(_nonnegative, 1e-3)
+    band_limit: int = _setting(_count, 4)
+    seed_modes: dict[Mode, float] | None = _setting(_as_modes, None)
+    save_final_field: bool = _setting(_as_bool, False)
 
 
 @dataclass(frozen=True)
 class ReduceSettings:
-    y0: tuple[float, ...] = (0.01,)
-    dt: float = 0.01
-    steps: int = 20000
-    record_every: int = 10
-    sigma_at: str = "ambient"
+    y0: tuple[float, ...] = _setting(_as_floats, (0.01,))
+    dt: float = _setting(_positive, 0.01)
+    steps: int = _setting(_count, 20000)
+    record_every: int = _setting(_count, 10)
+    sigma_at: str = _setting(_as_choice("ambient", "critical"), "ambient")
 
 
 @dataclass(frozen=True)
 class SweepSettings:
-    epsilons: tuple[float, ...] = (0.01, 0.02, 0.04, 0.06, 0.08)
-    workers: int = 2
+    epsilons: tuple[float, ...] = _setting(_as_epsilons, (0.01, 0.02, 0.04, 0.06, 0.08))
+    workers: int = _setting(_count, 2)
 
 
 @dataclass(frozen=True)
 class ValidateSettings:
-    y0: tuple[float, ...] = (0.02,)
-    relaxation_times: float = 1.0
+    y0: tuple[float, ...] = _setting(_as_floats, (0.02,))
+    relaxation_times: float = _setting(_positive, 1.0)
 
 
 @dataclass(frozen=True)
@@ -280,16 +302,24 @@ class RunConfig:
     physical: PhysicalParams
     domain: DomainSpec
     T: float
-    simulate: SimulateSettings = field(default_factory=SimulateSettings)
-    reduce: ReduceSettings = field(default_factory=ReduceSettings)
-    sweep: SweepSettings = field(default_factory=SweepSettings)
-    validate: ValidateSettings = field(default_factory=ValidateSettings)
-    seed: int = 0
+    simulate: SimulateSettings
+    reduce: ReduceSettings
+    sweep: SweepSettings
+    validate: ValidateSettings
+    seed: int
 
 
 _KNOWN_SECTIONS = {
     "physical", "mobility", "domain", "simulate", "reduce", "sweep", "validate", "run",
 }
+
+
+def _settings(cls, sec: _Section):
+    """The settings ``cls`` from ``sec``: each key read in field order by its
+    field's converter, an absent one at the field's default."""
+    values = {f.name: sec.optional(f.name, f.metadata["conv"], f.default) for f in fields(cls)}
+    sec.reject_unknown()
+    return cls(**values)
 
 
 def load_config(path) -> RunConfig:
@@ -336,47 +366,20 @@ def load_config(path) -> RunConfig:
         raise ConfigError(str(exc), path)
 
     sim = section("simulate")
-    simulate = SimulateSettings(
-        grid=sim.optional("grid", _as_grid, (32, 32, 32)),
-        dt=sim.optional("dt", _positive, 0.05),
-        t_end=sim.optional("t_end", _positive, 200.0),
-        record_every=sim.optional("record_every", _count, 10),
-        scheme=sim.optional("scheme", _as_choice("imex1", "imex2"), "imex1"),
-        rhs=sim.optional("rhs", _as_choice("taylor", "divergence"), "taylor"),
-        stabilization=sim.optional("stabilization", _nonnegative, 0.0),
-        seed_amplitude=sim.optional("seed_amplitude", _nonnegative, 1e-3),
-        band_limit=sim.optional("band_limit", _count, 4),
-        seed_modes=sim.optional("seed_modes", _as_modes, None),
-        save_final_field=sim.optional("save_final_field", _as_bool, False),
-    )
-    sim.reject_unknown()
-
-    red = section("reduce")
-    reduce_ = ReduceSettings(
-        y0=red.optional("y0", _as_floats, (0.01,)),
-        dt=red.optional("dt", _positive, 0.01),
-        steps=red.optional("steps", _count, 20000),
-        record_every=red.optional("record_every", _count, 10),
-        sigma_at=red.optional("sigma_at", _as_choice("ambient", "critical"), "ambient"),
-    )
-    red.reject_unknown()
-
-    sw = section("sweep")
-    sweep = SweepSettings(
-        epsilons=sw.optional("epsilons", _as_floats, (0.01, 0.02, 0.04, 0.06, 0.08)),
-        workers=sw.optional("workers", _count, 2),
-    )
-    sw.reject_unknown()
-
-    val = section("validate")
-    validate = ValidateSettings(
-        y0=val.optional("y0", _as_floats, (0.02,)),
-        relaxation_times=val.optional("relaxation_times", _positive, 1.0),
-    )
-    val.reject_unknown()
+    simulate = _settings(SimulateSettings, sim)
+    if simulate.seed_modes is not None:
+        try:
+            field_from_modes(simulate.seed_modes, simulate.grid, domain)
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad value for 'seed_modes': {exc}", path, sim.raw["seed_modes"][1]
+            )
+    reduce_ = _settings(ReduceSettings, section("reduce"))
+    sweep = _settings(SweepSettings, section("sweep"))
+    validate = _settings(ValidateSettings, section("validate"))
 
     run = section("run")
-    seed = run.optional("seed", _as_int, 0)
+    seed = run.optional("seed", _at_least(int, 0), 0)
     run.reject_unknown()
 
     return RunConfig(

@@ -101,10 +101,6 @@ class ManifoldCoeffs:
     def __getitem__(self, K: Mode) -> float:
         return self.values.get(tuple(K), 0.0)
 
-    @property
-    def support(self) -> tuple[Mode, ...]:
-        return tuple(sorted(self.values))
-
 
 def _critical_modes(p: PhysicalParams, d: DomainSpec, m: int) -> tuple[Mode, ...]:
     cset = critical_set(p, d)
@@ -193,6 +189,20 @@ def vanishing_cubic_denominator(a1: float, a2: float, s: int) -> bool:
     return abs(a1 + (s - 1) * a2) <= _DEGENERATE_RTOL * (abs(a1) + abs(a2))
 
 
+def _reduced_coefficients(
+    p: PhysicalParams, d: DomainSpec, m: int, T: float, sigma_at: str
+) -> tuple[float, float, float]:
+    """``(beta, a1, a2)`` of the reduced system on ``m`` critical modes at
+    ``T``: the critical growth rate and the cubic coefficients, evaluated
+    at ``T`` (``sigma_at="ambient"``) or at the critical temperature
+    (``"critical"``)."""
+    beta = growth_rate(_critical_modes(p, d, m)[0], T, p, d)
+    if sigma_at not in ("ambient", "critical"):
+        raise ValueError(f"sigma_at must be 'ambient' or 'critical', got {sigma_at!r}")
+    a1, a2 = cubic_coefficients(p, d, T=T if sigma_at == "ambient" else None)
+    return beta, a1, a2
+
+
 def _field(y, beta: float, a1: float, a2: float) -> tuple[float, ...]:
     """The reduced vector field at the amplitudes ``y`` (1 to 3 floats), on
     Python floats: on arrays this short numpy's per-call overhead outweighs
@@ -217,18 +227,8 @@ def reduced_vector_field(
     ``sigma_at`` selects where the cubic coefficients are evaluated:
     ``"ambient"`` (the state's temperature, the default) or ``"critical"``.
     """
-    modes = _critical_modes(p, d, state.m)
-    beta = growth_rate(modes[0], state.T, p, d)
-    a1, a2 = cubic_coefficients(p, d, T=_sigma_temperature(sigma_at, state.T))
+    beta, a1, a2 = _reduced_coefficients(p, d, state.m, state.T, sigma_at)
     return np.array(_field(state.y, beta, a1, a2))
-
-
-def _sigma_temperature(sigma_at: str, T: float) -> float | None:
-    if sigma_at == "ambient":
-        return T
-    if sigma_at == "critical":
-        return None
-    raise ValueError(f"sigma_at must be 'ambient' or 'critical', got {sigma_at!r}")
 
 
 def critical_vector_field(
@@ -252,9 +252,7 @@ def reduced_potential(
 ) -> float:
     """Quartic potential whose negative gradient is the reduced field; it
     decreases along trajectories."""
-    modes = _critical_modes(p, d, state.m)
-    beta = growth_rate(modes[0], state.T, p, d)
-    a1, a2 = cubic_coefficients(p, d, T=_sigma_temperature(sigma_at, state.T))
+    beta, a1, a2 = _reduced_coefficients(p, d, state.m, state.T, sigma_at)
     y = np.asarray(state.y, dtype=float)
     s = float((y * y).sum())
     quartic = float((y**4).sum())
@@ -336,10 +334,8 @@ def enumerate_equilibria(
     All states are linearised at once: one stacked ``eigvalsh`` over their
     Jacobians, which runs the same LAPACK routine on each matrix.
     """
-    modes = _critical_modes(p, d, d.multiplicity)
-    m = len(modes)
-    beta = growth_rate(modes[0], T, p, d)
-    a1, a2 = cubic_coefficients(p, d, T=_sigma_temperature(sigma_at, T))
+    m = d.multiplicity
+    beta, a1, a2 = _reduced_coefficients(p, d, m, T, sigma_at)
     scale = abs(a1) + abs(a2)
     if equal_cubic_coefficients(a1, a2):
         raise DegenerateCubicError(
@@ -454,14 +450,12 @@ def integrate_reduced(
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
-    modes = _critical_modes(p, d, y0.m)
-    beta = growth_rate(modes[0], y0.T, p, d)
+    beta, a1, a2 = _reduced_coefficients(p, d, y0.m, y0.T, sigma_at)
     if abs(dt) * abs(beta) > 0.1:
         warnings.warn(
             f"dt*|beta| = {dt * abs(beta):.3g} exceeds the stability heuristic 0.1",
             stacklevel=2,
         )
-    a1, a2 = cubic_coefficients(p, d, T=_sigma_temperature(sigma_at, y0.T))
     beta, a1, a2, dt = float(beta), float(a1), float(a2), float(dt)
     half, sixth = 0.5 * dt, dt / 6.0
 

@@ -27,13 +27,10 @@ __all__ = [
     "SpectralGrid",
     "field_from_modes",
     "laplacian_eigenvalue",
-    "eval_mode",
     "forward_transform",
     "inverse_transform",
     "triple_product",
-    "grad_triple_product",
     "mode_l2_norm_sq",
-    "collocation_points",
     "integrate_grid",
     "save_grid",
     "load_grid",
@@ -74,24 +71,6 @@ def laplacian_eigenvalue(K: Mode, d: DomainSpec) -> float:
     """Eigenvalue of ``-Laplace`` on mode ``K``: ``sum_i (k_i*pi/L_i)**2``."""
     k = _check_mode(K)
     return sum((ki * math.pi / li) ** 2 for ki, li in zip(k, d.lengths))
-
-
-def eval_mode(K: Mode, x, d: DomainSpec):
-    """Evaluate the basis function of mode ``K`` at points ``x``.
-
-    ``x`` is an array of shape ``(..., 3)`` with coordinates inside the box.
-    """
-    k = _check_mode(K)
-    x = np.asarray(x, dtype=float)
-    out = np.ones(x.shape[:-1])
-    for ax in range(3):
-        out = out * np.cos(k[ax] * math.pi * x[..., ax] / d.lengths[ax])
-    return out if out.shape else float(out)
-
-
-def collocation_points(n: int, length: float) -> np.ndarray:
-    """Midpoint collocation grid ``(j + 1/2) * length / n``."""
-    return (np.arange(n) + 0.5) * (length / n)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +215,6 @@ class SpectralGrid:
         mats, work = self._passes(False, derivative_axis)
         return _synthesize(coeffs, mats, work, out)
 
-    def padded(self, coeffs: np.ndarray) -> np.ndarray:
-        """Band coefficients zero-extended to the padded shape."""
-        out = np.zeros(self.pad_shape)
-        out[: coeffs.shape[0], : coeffs.shape[1], : coeffs.shape[2]] = coeffs
-        return out
-
     def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Samples of band coefficients on the padded midpoint grid, written
         into ``out`` when given.  Coefficients of another shape are rejected."""
@@ -359,24 +332,12 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cos_line(m: int, length: float) -> float:
-    # integral of cos(m*pi*x/L) over (0, L) for integer m
-    return length if m == 0 else 0.0
-
-
 def _cos_triple_1d(j: int, l: int, k: int, length: float) -> float:
+    # integral of the three cosines' product over (0, L): the product is a
+    # quarter of the sum of cos((j + s1*l + s2*k)*pi*x/L), and each term
+    # integrates to L if its wavenumber vanishes, else to 0
     return 0.25 * sum(
-        _cos_line(j + s1 * l + s2 * k, length) for s1 in (1, -1) for s2 in (1, -1)
-    )
-
-
-def _cos_sin_sin_1d(j: int, l: int, k: int, length: float) -> float:
-    # integral of cos(j..) * sin(l..) * sin(k..) over (0, L)
-    return 0.25 * (
-        _cos_line(j + l - k, length)
-        + _cos_line(j - l + k, length)
-        - _cos_line(j + l + k, length)
-        - _cos_line(j - l - k, length)
+        length for s1 in (1, -1) for s2 in (1, -1) if j + s1 * l + s2 * k == 0
     )
 
 
@@ -393,27 +354,6 @@ def triple_product(J: Mode, L: Mode, K: Mode, d: DomainSpec) -> float:
         if out == 0.0:
             return 0.0
     return out
-
-
-def grad_triple_product(J: Mode, L: Mode, K: Mode, d: DomainSpec) -> float:
-    """Exact integral of ``e_J * grad(e_L) . grad(e_K)`` over the box."""
-    j, l, k = _check_mode(J), _check_mode(L), _check_mode(K)
-    total = 0.0
-    for ax in range(3):
-        if l[ax] == 0 or k[ax] == 0:
-            continue
-        term = (
-            l[ax]
-            * k[ax]
-            * math.pi**2
-            / d.lengths[ax] ** 2
-            * _cos_sin_sin_1d(j[ax], l[ax], k[ax], d.lengths[ax])
-        )
-        for other in range(3):
-            if other != ax:
-                term *= _cos_triple_1d(j[other], l[other], k[other], d.lengths[other])
-        total += term
-    return total
 
 
 def mode_l2_norm_sq(K: Mode, d: DomainSpec) -> float:

@@ -413,12 +413,11 @@ def test_criterion_10_linear_regime_spectrum():
 def test_spectral_convergence_invariant(pitchfork):
     # steady amplitude must be resolution-independent: lift the converged
     # 32^3 state to 64^3 and keep integrating
-    from chtransition.spectral import SpectralGrid
-
     t0 = time.perf_counter()
     final = pitchfork.run.final_state
     amp32 = final.u.amplitude((1, 0, 0))
-    lifted = SpectralField(SpectralGrid((32, 32, 32), D1).padded(final.u.coeffs), D1)
+    coeffs = final.u.coeffs
+    lifted = SpectralField(np.pad(coeffs, [(0, n) for n in coeffs.shape]), D1)
     s64 = SimState(u=lifted, t=0.0, T=final.T, params=final.params)
     res = simulate(
         s64, StepConfig(dt=0.1, grid=(64, 64, 64)), t_end=30.0,

@@ -133,6 +133,13 @@ class TestConfigParsing:
             ("reduce", "steps", "0"),
             ("sweep", "workers", "0"),
             ("domain", "tie_tolerance", "-1"),
+            ("simulate", "seed_modes", "-1 0 0 : 0.1"),
+            ("simulate", "seed_modes", "0 0 0 : 0.1"),
+            ("simulate", "seed_modes", "32 0 0 : 0.1"),
+            ("simulate", "seed_modes", "1 0 0 : 0.1, 1 0 0 : 0.3"),
+            ("run", "seed", "-3"),
+            ("sweep", "epsilons", "0.01 1.5"),
+            ("sweep", "epsilons", "0"),
         ],
     )
     def test_out_of_range_value_names_the_line(self, tmp_path, capsys, section, key, value):
@@ -141,6 +148,61 @@ class TestConfigParsing:
         path = _write(tmp_path, text)
         assert main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"run.cfg:{lineno}: bad value for '{key}'" in capsys.readouterr().err
+
+    def test_seed_mode_outside_a_small_grid_names_the_line(self, tmp_path, capsys):
+        text = BASE + "\n[simulate]\ngrid = 8\nseed_modes = 8 0 0 : 0.1\n"
+        path = _write(tmp_path, text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"run.cfg:{len(text.splitlines())}: bad value for 'seed_modes'" in err
+        assert "does not fit in grid shape (8, 8, 8)" in err
+
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        path = _write(tmp_path, BASE)
+        argv = ["classify", "--config", str(path), "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-3"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be an integer >= 0, got '-3'" in capsys.readouterr().err
+
+    def test_every_key_at_its_default_loads_as_the_minimal_file(self, tmp_path):
+        # every settings key spelled out at its documented default; seed_modes
+        # has no value for its default (none: a random seed field)
+        full = BASE.replace("H0 = 1.0", "H0 = 1.0\nH1 = 0.0\nH2 = 0.0") + """\
+tie_tolerance = 1e-12
+
+[simulate]
+grid = 32 32 32
+dt = 0.05
+t_end = 200
+record_every = 10
+scheme = imex1
+rhs = taylor
+stabilization = 0
+seed_amplitude = 1e-3
+band_limit = 4
+save_final_field = false
+
+[reduce]
+y0 = 0.01
+dt = 0.01
+steps = 20000
+record_every = 10
+sigma_at = ambient
+
+[sweep]
+epsilons = 0.01 0.02 0.04 0.06 0.08
+workers = 2
+
+[validate]
+y0 = 0.02
+relaxation_times = 1
+
+[run]
+seed = 0
+"""
+        minimal = load_config(_write(tmp_path, BASE))
+        assert load_config(_write(tmp_path, full, name="full.cfg")) == minimal
 
     def test_physics_validation_becomes_config_error(self, tmp_path):
         broken = BASE.replace("ubar = 0.5", "ubar = 1.5")

@@ -11,10 +11,8 @@ from hypothesis.extra.numpy import arrays
 from chtransition import (
     DomainSpec,
     SpectralField,
-    eval_mode,
     field_from_modes,
     forward_transform,
-    grad_triple_product,
     inverse_transform,
     laplacian_eigenvalue,
     mode_l2_norm_sq,
@@ -23,7 +21,6 @@ from chtransition import (
 from chtransition.spectral import (
     SpectralGrid,
     _check_mode,
-    collocation_points,
     integrate_grid,
     load_grid,
     save_grid,
@@ -59,29 +56,16 @@ def _triple_quad(J, L, K, d):
     return out
 
 
-def _grad_triple_quad(J, L, K, d):
-    total = 0.0
-    for ax in range(3):
-        term = 1.0
-        for i in range(3):
-            li = d.lengths[i]
-            j, l, k = J[i], L[i], K[i]
-            if i == ax:
-                term *= _gl(
-                    lambda x: np.cos(j * np.pi * x / li)
-                    * (-l * np.pi / li) * np.sin(l * np.pi * x / li)
-                    * (-k * np.pi / li) * np.sin(k * np.pi * x / li),
-                    li,
-                )
-            else:
-                term *= _gl(
-                    lambda x: np.cos(j * np.pi * x / li)
-                    * np.cos(l * np.pi * x / li)
-                    * np.cos(k * np.pi * x / li),
-                    li,
-                )
-        total += term
-    return total
+def _midpoints(shape, d):
+    """The midpoint collocation grid of ``shape`` as points of shape (..., 3)."""
+    xs = [(np.arange(n) + 0.5) * (length / n) for n, length in zip(shape, d.lengths)]
+    return np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1)
+
+
+def _mode_values(K, pts, d):
+    """The basis function of mode ``K`` at the points ``pts``."""
+    cosines = [np.cos(k * np.pi * pts[..., a] / d.lengths[a]) for a, k in enumerate(K)]
+    return np.prod(cosines, axis=0)
 
 
 class TestEigenvalues:
@@ -150,23 +134,6 @@ class TestModeIndexCheck:
             _check_mode(K)
 
 
-class TestEvalMode:
-    def test_neumann_faces(self):
-        assert eval_mode((1, 0, 0), (0.0, 0.3, 0.7), D) == pytest.approx(1.0)
-        assert eval_mode((1, 0, 0), (D.lengths[0], 0.3, 0.7), D) == pytest.approx(-1.0)
-
-    def test_center_zero(self):
-        center = tuple(l / 2 for l in D.lengths)
-        assert eval_mode((1, 1, 1), center, D) == pytest.approx(0.0, abs=1e-15)
-
-    def test_vectorised(self):
-        pts = np.array([[0.0, 0.0, 0.0], [D.lengths[0], 0.0, 0.0]])
-        out = eval_mode((1, 0, 0), pts, D)
-        assert out.shape == (2,)
-        assert out[0] == pytest.approx(1.0)
-        assert out[1] == pytest.approx(-1.0)
-
-
 class TestTransforms:
     def test_single_mode_forward(self):
         for K in [(1, 0, 0), (2, 1, 0), (3, 2, 1)]:
@@ -206,11 +173,10 @@ class TestTransforms:
 
     def test_mode_synthesis_matches_pointwise(self):
         shape = (8, 6, 5)
-        xs = [collocation_points(n, L) for n, L in zip(shape, D.lengths)]
-        pts = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1)
+        pts = _midpoints(shape, D)
         for K in [(1, 0, 0), (0, 2, 0), (2, 1, 3)]:
             f = field_from_modes({K: 1.0}, shape, D)
-            assert np.abs(inverse_transform(f) - eval_mode(K, pts, D)).max() < 1e-13
+            assert np.abs(inverse_transform(f) - _mode_values(K, pts, D)).max() < 1e-13
 
     def test_parseval(self):
         rng = np.random.default_rng(3)
@@ -289,8 +255,7 @@ class TestSpectralGrid:
     def test_padding_and_read_only_tables(self):
         g = SpectralGrid(self.SHAPE, D)
         c = self._band(10)
-        assert g.padded(c).shape == (20, 24, 16)
-        assert np.array_equal(g.padded(c)[:10, :12, :8], c)
+        assert g.synthesize(c).shape == g.pad_shape == (20, 24, 16)
         assert g.rho.shape == self.SHAPE
         assert g.rho[1, 0, 0] == laplacian_eigenvalue((1, 0, 0), D)
         assert not any(a.flags.writeable for a in (*g.k, g.rho))
@@ -306,13 +271,13 @@ class TestBandTransforms:
 
     @staticmethod
     def _axis_points(g):
-        return [collocation_points(n, L) for n, L in zip(g.pad_shape, D.lengths)]
+        return [(np.arange(n) + 0.5) * (L / n) for n, L in zip(g.pad_shape, D.lengths)]
 
     def test_synthesize_matches_mode_sum(self):
         g, c = self._band(21)
-        pts = np.stack(np.meshgrid(*self._axis_points(g), indexing="ij"), axis=-1)
+        pts = _midpoints(g.pad_shape, D)
         expect = sum(
-            c[K] * eval_mode(K, pts, D) for K in product(*map(range, self.SHAPE)) if any(K)
+            c[K] * _mode_values(K, pts, D) for K in product(*map(range, self.SHAPE)) if any(K)
         )
         assert np.abs(g.synthesize(c) - expect).max() <= 1e-13 * np.abs(expect).max()
 
@@ -448,24 +413,6 @@ class TestTripleProducts:
             assert triple_product(J, L, K, D) == pytest.approx(
                 _triple_quad(J, L, K, D), abs=1e-12
             )
-
-    def test_grad_against_quadrature(self):
-        rng = np.random.default_rng(6)
-        for _ in range(40):
-            J, L, K = (tuple(rng.integers(0, 5, 3)) for _ in range(3))
-            if (0, 0, 0) in (J, L, K):
-                continue
-            assert grad_triple_product(J, L, K, D) == pytest.approx(
-                _grad_triple_quad(J, L, K, D), abs=1e-10
-            )
-
-    def test_grad_zero_when_not_sum(self):
-        assert grad_triple_product((1, 0, 0), (0, 1, 0), (2, 0, 0), D) == 0.0
-
-    def test_grad_mixed_nonzero(self):
-        val = grad_triple_product((1, 0, 0), (0, 1, 0), (1, 1, 0), DSQ)
-        assert val == pytest.approx(_grad_triple_quad((1, 0, 0), (0, 1, 0), (1, 1, 0), DSQ))
-        assert val != 0.0
 
 
 class TestNorms:
