@@ -41,7 +41,8 @@ out of range:
   ``seed``;
 - inside (0, 1): each of ``epsilons``;
 - ``seed_modes``: distinct modes, each three nonnegative integers, not all
-  zero, below the ``grid`` size along each axis.
+  zero, below the ``grid`` size along each axis;
+- ``y0`` (in [reduce] and [validate]): one amplitude per critical mode.
 """
 
 from __future__ import annotations
@@ -267,8 +268,8 @@ class SimulateSettings:
     dt: float = _setting(_positive, 0.05)
     t_end: float = _setting(_positive, 200.0)
     record_every: int = _setting(_count, 10)
-    scheme: str = _setting(_as_choice("imex1", "imex2"), _STEP["scheme"])
-    rhs: str = _setting(_as_choice("taylor", "divergence"), _STEP["rhs"])
+    scheme: str = _setting(_as_choice(*StepConfig.SCHEMES), _STEP["scheme"])
+    rhs: str = _setting(_as_choice(*StepConfig.RHS_FORMS), _STEP["rhs"])
     stabilization: float = _setting(_nonnegative, _STEP["stabilization"])
     seed_amplitude: float = _setting(_nonnegative, 1e-3)
     band_limit: int = _setting(_count, 4)
@@ -374,9 +375,22 @@ def load_config(path) -> RunConfig:
             raise ConfigError(
                 f"bad value for 'seed_modes': {exc}", path, sim.raw["seed_modes"][1]
             )
-    reduce_ = _settings(ReduceSettings, section("reduce"))
+    red = section("reduce")
+    reduce_ = _settings(ReduceSettings, red)
     sweep = _settings(SweepSettings, section("sweep"))
-    validate = _settings(ValidateSettings, section("validate"))
+    val = section("validate")
+    validate = _settings(ValidateSettings, val)
+    # a given y0 carries one amplitude per critical mode (the domain's
+    # multiplicity); the command that uses the one-component default checks it
+    m = domain.multiplicity
+    for sec, settings in ((red, reduce_), (val, validate)):
+        if "y0" in sec.raw and len(settings.y0) != m:
+            raise ConfigError(
+                f"bad value for 'y0': {len(settings.y0)} components but the domain "
+                f"carries {m} critical modes",
+                path,
+                sec.raw["y0"][1],
+            )
 
     run = section("run")
     seed = run.optional("seed", _at_least(int, 0), 0)

@@ -203,17 +203,29 @@ def _reduced_coefficients(
     return beta, a1, a2
 
 
-def _field(y, beta: float, a1: float, a2: float) -> tuple[float, ...]:
-    """The reduced vector field at the amplitudes ``y`` (1 to 3 floats), on
-    Python floats: on arrays this short numpy's per-call overhead outweighs
-    the arithmetic, and an RK4 step evaluates the field four times.  The
-    operations and their order are those of the array expression
+def _field(
+    x0: float, x1: float, x2: float, beta: float, a1: float, a2: float
+) -> tuple[float, float, float]:
+    """The reduced vector field at three amplitudes, on Python floats: on
+    arrays this short numpy's per-call overhead outweighs the arithmetic,
+    and an RK4 step evaluates the field four times.  Each component keeps
+    the operations and their order of the array expression
     ``beta*y - y*(a1*y*y + a2*(s - y*y))`` with ``s`` the sequential sum of
-    squares, so the results are numpy's to the bit."""
-    s = 0.0
-    for v in y:
-        s += v * v
-    return tuple(beta * v - v * (a1 * v * v + a2 * (s - v * v)) for v in y)
+    squares, so the results are numpy's to the bit.  A system on fewer modes
+    carries the absent ones as ``+0.0``: adding their squares leaves ``s``
+    unchanged, and they stay zero while the others are finite."""
+    s = x0 * x0 + x1 * x1 + x2 * x2
+    return (
+        beta * x0 - x0 * (a1 * x0 * x0 + a2 * (s - x0 * x0)),
+        beta * x1 - x1 * (a1 * x1 * x1 + a2 * (s - x1 * x1)),
+        beta * x2 - x2 * (a1 * x2 * x2 + a2 * (s - x2 * x2)),
+    )
+
+
+def _field_at(y, beta: float, a1: float, a2: float) -> np.ndarray:
+    """`_field` at 1 to 3 amplitudes ``y``, zero-padded to three, as an
+    array of ``len(y)`` components."""
+    return np.array(_field(*(*y, 0.0, 0.0)[:3], beta, a1, a2)[: len(y)])
 
 
 def reduced_vector_field(
@@ -228,7 +240,7 @@ def reduced_vector_field(
     ``"ambient"`` (the state's temperature, the default) or ``"critical"``.
     """
     beta, a1, a2 = _reduced_coefficients(p, d, state.m, state.T, sigma_at)
-    return np.array(_field(state.y, beta, a1, a2))
+    return _field_at(state.y, beta, a1, a2)
 
 
 def critical_vector_field(
@@ -241,7 +253,7 @@ def critical_vector_field(
     if y.shape != (m,):
         raise ValueError(f"expected {m} components for this domain, got {y.shape}")
     a1, a2 = cubic_coefficients(p, d, T=None)
-    return np.array(_field(y.tolist(), 0.0, a1, a2))
+    return _field_at(y.tolist(), 0.0, a1, a2)
 
 
 def reduced_potential(
@@ -459,27 +471,36 @@ def integrate_reduced(
     beta, a1, a2, dt = float(beta), float(a1), float(a2), float(dt)
     half, sixth = 0.5 * dt, dt / 6.0
 
-    # the loop runs on tuples of floats, with the operations of the array
-    # form y + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4) in the same order
-    y = y0.y
+    # the loop runs on three floats, the absent modes at +0.0, with the
+    # operations of the array form y + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4) in
+    # the same order; a record keeps the first m
+    m = y0.m
+    y_0, y_1, y_2 = (*y0.y, 0.0, 0.0)[:3]
     times = [0.0]
-    states = [y]
+    states = [y0.y]
     escaped = False
     for n in range(1, steps + 1):
-        k1 = _field(y, beta, a1, a2)
-        k2 = _field([v + half * k for v, k in zip(y, k1)], beta, a1, a2)
-        k3 = _field([v + half * k for v, k in zip(y, k2)], beta, a1, a2)
-        k4 = _field([v + dt * k for v, k in zip(y, k3)], beta, a1, a2)
-        y = tuple(
-            v + sixth * (((c1 + 2.0 * c2) + 2.0 * c3) + c4)
-            for v, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)
+        k1_0, k1_1, k1_2 = _field(y_0, y_1, y_2, beta, a1, a2)
+        k2_0, k2_1, k2_2 = _field(
+            y_0 + half * k1_0, y_1 + half * k1_1, y_2 + half * k1_2, beta, a1, a2
         )
-        if not all(map(math.isfinite, y)) or max(map(abs, y)) > blowup_norm:
+        k3_0, k3_1, k3_2 = _field(
+            y_0 + half * k2_0, y_1 + half * k2_1, y_2 + half * k2_2, beta, a1, a2
+        )
+        k4_0, k4_1, k4_2 = _field(
+            y_0 + dt * k3_0, y_1 + dt * k3_1, y_2 + dt * k3_2, beta, a1, a2
+        )
+        y_0 = y_0 + sixth * (((k1_0 + 2.0 * k2_0) + 2.0 * k3_0) + k4_0)
+        y_1 = y_1 + sixth * (((k1_1 + 2.0 * k2_1) + 2.0 * k3_1) + k4_1)
+        y_2 = y_2 + sixth * (((k1_2 + 2.0 * k2_2) + 2.0 * k3_2) + k4_2)
+        # an absent mode is non-finite only when a real one is too
+        finite = math.isfinite(y_0) and math.isfinite(y_1) and math.isfinite(y_2)
+        if not finite or max(abs(y_0), abs(y_1), abs(y_2)) > blowup_norm:
             escaped = True
             break
         if n % record_every == 0 or n == steps:
             times.append(n * dt)
-            states.append(y)
+            states.append((y_0, y_1, y_2)[:m])
     return ReducedTrajectory(
         times=np.asarray(times), states=np.asarray(states), escaped=escaped
     )

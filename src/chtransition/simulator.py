@@ -22,6 +22,7 @@ rounding by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -62,8 +63,12 @@ class StepConfig:
     ``scheme`` is ``imex1`` (implicit Euler on the linear part, explicit
     Euler on the rest) or ``imex2`` (implicit trapezoid plus second-order
     Adams-Bashforth).  ``stabilization`` adds ``s*Laplace^2`` implicitly and
-    subtracts it explicitly, useful for stiff mobility profiles.
+    subtracts it explicitly, useful for stiff mobility profiles.  ``SCHEMES``
+    and ``RHS_FORMS`` hold the accepted values of ``scheme`` and ``rhs``.
     """
+
+    SCHEMES: ClassVar[tuple[str, ...]] = ("imex1", "imex2")
+    RHS_FORMS: ClassVar[tuple[str, ...]] = ("taylor", "divergence")
 
     dt: float
     grid: tuple[int, int, int] = (32, 32, 32)
@@ -74,9 +79,9 @@ class StepConfig:
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.scheme not in ("imex1", "imex2"):
+        if self.scheme not in self.SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.rhs not in ("taylor", "divergence"):
+        if self.rhs not in self.RHS_FORMS:
             raise ValueError(f"unknown rhs form {self.rhs!r}")
         if self.stabilization < 0.0:
             raise ValueError("stabilization must be nonnegative")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -258,13 +259,16 @@ def integrate_grid(values: np.ndarray, d: DomainSpec) -> float:
     return float(values.sum() * (d.volume / values.size))
 
 
+@lru_cache(maxsize=32)
 def _norm_weights(shape: tuple[int, int, int], d: DomainSpec) -> np.ndarray:
-    """Per-mode values of ``<e_K, e_K>`` as a dense array."""
+    """Per-mode values of ``<e_K, e_K>`` as a dense read-only array, built
+    once per band shape and domain."""
     out = np.ones(())
     for ax in range(3):
         w = np.full(shape[ax], d.lengths[ax] / 2.0)
         w[0] = d.lengths[ax]
         out = np.multiply.outer(out, w)
+    out.flags.writeable = False
     return out
 
 

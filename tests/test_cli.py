@@ -149,6 +149,25 @@ class TestConfigParsing:
         assert main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"run.cfg:{lineno}: bad value for '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["reduce", "validate"])
+    @pytest.mark.parametrize("command", ["classify", "simulate", "reduce", "sweep", "validate"])
+    def test_y0_of_the_wrong_length_names_the_line(self, tmp_path, capsys, command, section):
+        text = BASE + f"\n[{section}]\ny0 = 0.01 0.02\n"
+        path = _write(tmp_path, text)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"run.cfg:{len(text.splitlines())}: bad value for 'y0'" in err
+        assert "2 components but the domain carries 1 critical modes" in err
+
+    def test_default_y0_is_checked_by_the_command(self, tmp_path, capsys):
+        # box (pi, pi, 1) carries 2 critical modes; the 1-component default
+        # loads, and the commands that use it refuse it
+        path = _write(tmp_path, BASE.replace("L2 = 2.0", "L2 = 3.141592653589793"))
+        assert load_config(path).reduce.y0 == (0.01,)
+        for command in ("reduce", "validate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert f"{command}.y0 has 1 components" in capsys.readouterr().err
+
     def test_seed_mode_outside_a_small_grid_names_the_line(self, tmp_path, capsys):
         text = BASE + "\n[simulate]\ngrid = 8\nseed_modes = 8 0 0 : 0.1\n"
         path = _write(tmp_path, text)

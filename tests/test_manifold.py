@@ -23,7 +23,7 @@ from chtransition import (
     straight_line_orbits,
     transition_discriminants,
 )
-from chtransition.manifold import _field
+from chtransition.manifold import _field_at
 from conftest import draw_params
 
 D1 = DomainSpec((math.pi, 2.0, 1.0))
@@ -248,7 +248,7 @@ class TestBatchedEnumeration:
                         kind = EquilibriumKind.REPELLER
                     else:
                         kind = EquilibriumKind.SADDLE
-                    residual = max(abs(v) for v in _field(y.tolist(), beta, a1, a2))
+                    residual = max(abs(v) for v in _field_at(y.tolist(), beta, a1, a2))
                     closed = [-2.0 * q * denom] + [-2.0 * q * (a1 - a2)] * (k - 1)
                     closed += [q * (a1 - a2)] * (m - k)
                     out.append((tuple(y.tolist()), tuple(eigs.tolist()), kind, residual, closed))

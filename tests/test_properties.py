@@ -169,6 +169,9 @@ def _array_rk4(y0, beta, a1, a2, dt, steps, record_every, blowup_norm):
 # a jump transition above Tc: the orbit leaves through blowup_norm
 @example(ubar=0.32, gamma=10.0, shape=(0.7, 0.5), quench=1.02, y0=[0.4, 0.4, 0.4],
          dt=0.05, steps=300, record_every=7, blowup_norm=1.0, sigma_at="critical")
+# squares overflow: the zeros that pad m < 3 meet inf and NaN
+@example(ubar=0.45, gamma=10.0, shape=(0.7, 0.5), quench=0.98, y0=[1e155, 1e155, 1e155],
+         dt=0.05, steps=20, record_every=1, blowup_norm=math.inf, sigma_at="ambient")
 def test_reduced_kernel_matches_array_arithmetic(
     case, ubar, gamma, shape, quench, y0, dt, steps, record_every, blowup_norm, sigma_at
 ):
