@@ -10,6 +10,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -326,7 +327,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: `parse_args` leaves the parser as it is and
+    # returns a fresh namespace on every call
     parser = argparse.ArgumentParser(
         prog="chtransition",
         description="Transition analysis and spectral simulation of a "

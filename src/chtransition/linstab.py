@@ -11,6 +11,8 @@ its size (1, 2 or 3) follows the degeneracy of the box edges.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -18,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .params import DomainSpec, PhysicalParams, critical_temperature
-from .spectral import Mode, SpectralGrid, laplacian_eigenvalue
+from .spectral import Mode, laplacian_eigenvalue
 
 __all__ = [
     "CriticalSet",
@@ -57,8 +59,14 @@ def _scan_modes(k_max: int) -> tuple[Mode, ...]:
 
 
 def _scan(d: DomainSpec, k_max: int) -> tuple[tuple[Mode, ...], np.ndarray]:
-    """The scanned modes and their eigenvalues ``rho``, in the same order."""
-    return _scan_modes(k_max), SpectralGrid((k_max + 1,) * 3, d).rho.ravel()[1:]
+    """The scanned modes and their eigenvalues ``rho``, in the same order:
+    the sums of the squared wavenumbers ``j*pi/L`` along the three axes.
+    Raises ``ValueError`` for ``k_max`` below 1, which scans no mode."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max!r}")
+    k = np.arange(k_max + 1, dtype=float) * math.pi
+    sq0, sq1, sq2 = ((k / length) ** 2 for length in d.lengths)
+    return _scan_modes(k_max), np.add.outer(np.add.outer(sq0, sq1), sq2).ravel()[1:]
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,8 @@ def verify_pes(
     At the critical temperature the critical modes must have zero growth rate
     and every other scanned mode a strictly negative one; across the
     temperature grid the critical rates must be positive below and negative
-    above.
+    above.  The scan covers every mode with indices up to ``k_max``, which
+    must be at least 1.
     """
     tc = critical_temperature(p, d)
     cset = critical_set(p, d)
@@ -183,21 +192,39 @@ def critical_temperature_bisect(
 ) -> float:
     """Locate the root of ``max_K beta_K(T)`` by bisection.
 
-    Serves as an independent check of the closed-form critical temperature.
-    ``tol`` is an absolute bracket width; the default 0 bisects to float
-    resolution, so the relative error stays at rounding level however small
-    the critical temperature is.  Raises ``ValueError`` when the bracket contains no sign change (in
-    particular when no supercritical regime exists).
+    Serves as an independent check of the closed-form critical temperature:
+    it scans every mode with indices up to ``k_max`` (at least 1) and never
+    asks which of them is critical.  The distinct eigenvalues are sorted
+    once per call, and each step evaluates only the one or two next to the
+    vertex of the rate parabola, which hold the largest rate.  ``tol`` is
+    an absolute bracket width; the default 0 bisects to float resolution,
+    so the relative error stays at rounding level however small the
+    critical temperature is.  Raises ``ValueError`` when the bracket
+    contains no sign change (in particular when no supercritical regime
+    exists).
     """
     u = p.ubar
     if bracket is None:
         hi = 2.0 * p.gamma * u * (1.0 - u) / p.R  # all rates negative beyond this
         bracket = (1e-12 * hi, 1.01 * hi)
     lo, hi = bracket
-    _, rho = _scan(d, k_max)
+    rho = np.unique(_scan(d, k_max)[1]).tolist()
+    last = len(rho) - 1
+    h0, gamma, R, alpha = p.mobility.h0, p.gamma, p.R, p.alpha
 
     def worst(T: float) -> float:
-        return float(_growth_rates(rho, T, p).max())
+        # the rate h0*r*(A - alpha*r) is a concave parabola in r with its
+        # vertex at A/(2*alpha), so the largest rate over the sorted distinct
+        # rho sits next to the vertex; each rate keeps `_growth_rates`'
+        # operations in their order
+        a = 2.0 * gamma - R * T / (u * (1.0 - u))
+        i = bisect_left(rho, a / (2.0 * alpha))
+        r = rho[min(i, last)]
+        rate = h0 * r * (a - alpha * r)
+        if 0 < i <= last:
+            r = rho[i - 1]
+            rate = max(rate, h0 * r * (a - alpha * r))
+        return rate
 
     f_lo, f_hi = worst(lo), worst(hi)
     if f_lo == 0.0:

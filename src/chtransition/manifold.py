@@ -33,7 +33,13 @@ from .params import (
     derive_coefficients,
     transition_discriminants,
 )
-from .spectral import Mode, laplacian_eigenvalue, mode_l2_norm_sq, triple_product
+from .spectral import (
+    Mode,
+    cancellation_counts,
+    counted_triple_product,
+    laplacian_eigenvalue,
+    mode_l2_norm_sq,
+)
 
 __all__ = [
     "ReducedState",
@@ -124,7 +130,8 @@ def cm_coefficients(
     ``J+L`` carries ``-2*b2*y_J*y_L / (alpha*rho_J)``.  ``form="quotient"``
     evaluates the unapproximated projection quotient (quadratic term
     projected on the stable mode, divided by its decay rate), which the
-    leading order must reproduce at the critical temperature.
+    leading order must reproduce at the critical temperature.  It raises
+    ``ValueError`` when a slaved mode is resonant (zero growth rate).
     """
     if form not in ("leading", "quotient"):
         raise ValueError(f"unknown form {form!r}")
@@ -136,12 +143,12 @@ def cm_coefficients(
             stacklevel=2,
         )
     modes = _critical_modes(p, d, state.m)
-    y = dict(zip(modes, state.y))
     b2 = derive_coefficients(p, state.T).b2
-    rho1 = laplacian_eigenvalue(modes[0], d)
 
     values: dict[Mode, float] = {}
     if form == "leading":
+        y = dict(zip(modes, state.y))
+        rho1 = laplacian_eigenvalue(modes[0], d)
         for J, L in combinations_with_replacement(modes, 2):
             K = tuple(a + b for a, b in zip(J, L))
             if J == L:
@@ -151,15 +158,38 @@ def cm_coefficients(
         return ManifoldCoeffs(values=values)
 
     h0 = p.mobility.h0
-    support = {tuple(a + b for a, b in zip(J, L)) for J, L in product(modes, repeat=2)}
-    for K in sorted(support):
+    for K, pairs in _quotient_table(modes):
         rho_k = laplacian_eigenvalue(K, d)
-        beta_k = growth_rate(K, state.T, p, d)
+        decay = growth_rate(K, state.T, p, d) * mode_l2_norm_sq(K, d)
+        if decay == 0.0:
+            raise ValueError(
+                f"slaved mode {K} is resonant at T={state.T!r}: its growth rate "
+                "vanishes, so the projection quotient is undefined"
+            )
         acc = 0.0
-        for J, L in product(modes, repeat=2):
-            acc += y[J] * y[L] * triple_product(J, L, K, d)
-        values[K] = h0 * b2 * rho_k * acc / (beta_k * mode_l2_norm_sq(K, d))
+        for i, j, counts in pairs:
+            acc += state.y[i] * state.y[j] * counted_triple_product(counts, d)
+        values[K] = h0 * b2 * rho_k * acc / decay
     return ManifoldCoeffs(values=values)
+
+
+@lru_cache(maxsize=None)
+def _quotient_table(modes: tuple[Mode, ...]):
+    """The slaved modes of the projection quotient on these critical modes,
+    in sorted order, each with the ``m*m`` pairs ``(i, j)`` of critical
+    modes in `product` order and their `cancellation_counts`.  The counts do not
+    depend on the box, so one table serves every domain with these modes."""
+    support = {tuple(a + b for a, b in zip(J, L)) for J, L in product(modes, repeat=2)}
+    return tuple(
+        (
+            K,
+            tuple(
+                (i, j, cancellation_counts(modes[i], modes[j], K))
+                for i, j in product(range(len(modes)), repeat=2)
+            ),
+        )
+        for K in sorted(support)
+    )
 
 
 def cubic_coefficients(
@@ -301,14 +331,6 @@ class Equilibrium:
         }
 
 
-_KINDS = (
-    EquilibriumKind.DEGENERATE,
-    EquilibriumKind.ATTRACTOR,
-    EquilibriumKind.REPELLER,
-    EquilibriumKind.SADDLE,
-)
-
-
 @lru_cache(maxsize=None)
 def _unit_states(m: int, s: int) -> np.ndarray:
     """The states on ``s`` of ``m`` modes with unit amplitudes, one per
@@ -382,21 +404,30 @@ def enumerate_equilibria(
     jac = -2.0 * a2 * (y[:, :, None] * y[:, None, :])
     diag = np.arange(m)
     jac[:, diag, diag] = beta - 3.0 * a1 * y * y - a2 * (s - yy)
-    eigs = np.linalg.eigvalsh(jac)
-    # indices into _KINDS: a degenerate eigenvalue first, then the signs
-    kinds = np.where(
-        (np.abs(eigs) <= np.array(tols)[:, None]).any(axis=1),
-        0,
-        np.where((eigs < 0.0).all(axis=1), 1, np.where((eigs > 0.0).all(axis=1), 2, 3)),
-    )
+    eigs = np.linalg.eigvalsh(jac).tolist()
     field = beta * y - y * (a1 * y * y + a2 * (s - yy))
     residual = np.abs(field).max(axis=1)
     return [
-        Equilibrium(y=tuple(yi), jacobian_eigs=tuple(ei), kind=_KINDS[k], residual=r)
-        for yi, ei, k, r in zip(
-            y.tolist(), eigs.tolist(), kinds.tolist(), residual.tolist()
-        )
+        Equilibrium(y=tuple(yi), jacobian_eigs=tuple(ei), kind=_kind(ei, tol), residual=r)
+        for yi, ei, tol, r in zip(y.tolist(), eigs, tols, residual.tolist())
     ]
+
+
+def _kind(eigs: list[float], tol: float) -> EquilibriumKind:
+    """The kind of a state from its Jacobian eigenvalues: degenerate when
+    one is within ``tol`` of zero, else by their signs (a NaN is neither
+    sign, so it makes a saddle)."""
+    negative = positive = True
+    for e in eigs:
+        if abs(e) <= tol:
+            return EquilibriumKind.DEGENERATE
+        negative = negative and e < 0.0
+        positive = positive and e > 0.0
+    if negative:
+        return EquilibriumKind.ATTRACTOR
+    if positive:
+        return EquilibriumKind.REPELLER
+    return EquilibriumKind.SADDLE
 
 
 def straight_line_orbits(m: int) -> list[np.ndarray]:

@@ -226,29 +226,26 @@ class Stepper:
         u_grid, u2_grid, poly = self._padded("u", "u2", "poly")
         u_grid = g.synthesize(coeffs, out=u_grid)
         u2_grid = np.multiply(u_grid, u_grid, out=u2_grid)
-        np.multiply(b.b3, u_grid, out=poly)  # b2*u^2 + b3*u^3, in place
+        # b2*u^2 + c3*u^3, in place.  The h1 part of the b2 term,
+        # div(2*h1*b2*u^2*grad(u)) = (2/3)*h1*b2*Lap(u^3), joins the cubic
+        # weight as (2/3)*(h1/h0)*b2, which is zero at h1 = 0 or b2 = 0
+        c3 = b.b3 + (2.0 / 3.0) * (mob.h1 / mob.h0) * b.b2
+        np.multiply(c3, u_grid, out=poly)
         poly += b.b2
         poly *= u2_grid
         out = -mob.h0 * self.rho * g.analyze(poly)
 
         if mob.h1 != 0.0 or mob.h2 != 0.0:
-            # one flux for both terms: h1 * u * grad(alpha*Lap(u) - b1*u - b2*u^2)
-            # + h2/2 * u^2 * grad(alpha*Lap(u) - b1*u), with grad(u^2) = 2*u*grad(u)
-            # (exact: u^2 is resolved on the padded grid).  The analysis spent
+            # one flux for the rest: h1 * u * grad(alpha*Lap(u) - b1*u)
+            # + h2/2 * u^2 * grad(alpha*Lap(u) - b1*u).  The analysis spent
             # poly and u is not needed again: they take the weight and its h2
-            # part, u^2 then takes the weight of the b2 term, and the
-            # gradients are weighted in place
+            # part, and the gradients are weighted in place
             weight = np.multiply(mob.h1, u_grid, out=poly)
             weight += np.multiply(0.5 * mob.h2, u2_grid, out=u_grid)
             flux = g.gradient((-p.alpha * self.rho - b.b1) * coeffs,
                               out=self._padded("flux0", "flux1", "flux2"))
             for f in flux:
                 f *= weight
-            if mob.h1 != 0.0 and b.b2 != 0.0:
-                sq_weight = np.multiply(2.0 * mob.h1 * b.b2, u2_grid, out=u2_grid)
-                for f, d in zip(flux, g.gradient(coeffs, out=self._padded("d0", "d1", "d2"))):
-                    d *= sq_weight
-                    f -= d
             out -= g.divergence(flux)
 
         out[0, 0, 0] = 0.0

@@ -31,6 +31,8 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "triple_product",
+    "cancellation_counts",
+    "counted_triple_product",
     "mode_l2_norm_sq",
     "integrate_grid",
     "save_grid",
@@ -336,13 +338,30 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cos_triple_1d(j: int, l: int, k: int, length: float) -> float:
-    # integral of the three cosines' product over (0, L): the product is a
-    # quarter of the sum of cos((j + s1*l + s2*k)*pi*x/L), and each term
-    # integrates to L if its wavenumber vanishes, else to 0
-    return 0.25 * sum(
-        length for s1 in (1, -1) for s2 in (1, -1) if j + s1 * l + s2 * k == 0
+def cancellation_counts(J: Mode, L: Mode, K: Mode) -> tuple[int, int, int]:
+    """Per axis, the number of the four sign choices with
+    ``j + s1*l + s2*k == 0``: the terms of the three cosines' product
+    ``cos(j*t)*cos(l*t)*cos(k*t) = (1/4)*sum cos((j + s1*l + s2*k)*t)``
+    that do not oscillate.  The counts depend on the modes only, not on the
+    box."""
+    return tuple(
+        sum(j + s1 * l + s2 * k == 0 for s1 in (1, -1) for s2 in (1, -1))
+        for j, l, k in zip(J, L, K)
     )
+
+
+def counted_triple_product(counts: tuple[int, int, int], d: DomainSpec) -> float:
+    """`triple_product` from its `cancellation_counts` on the box ``d``.
+
+    Along an axis of length ``L`` each non-oscillating term integrates to
+    ``L`` and every other term to 0, so the one-axis integral is a quarter
+    of ``count`` lengths summed."""
+    out = 1.0
+    for count, length in zip(counts, d.lengths):
+        out *= 0.25 * sum([length] * count)
+        if out == 0.0:
+            return 0.0
+    return out
 
 
 def triple_product(J: Mode, L: Mode, K: Mode, d: DomainSpec) -> float:
@@ -351,13 +370,8 @@ def triple_product(J: Mode, L: Mode, K: Mode, d: DomainSpec) -> float:
     For single-axis ``J, L`` and ``K = J + L`` this equals ``V/4``; it
     vanishes unless the wavenumbers can cancel axis by axis.
     """
-    j, l, k = _check_mode(J), _check_mode(L), _check_mode(K)
-    out = 1.0
-    for ax in range(3):
-        out *= _cos_triple_1d(j[ax], l[ax], k[ax], d.lengths[ax])
-        if out == 0.0:
-            return 0.0
-    return out
+    counts = cancellation_counts(_check_mode(J), _check_mode(L), _check_mode(K))
+    return counted_triple_product(counts, d)
 
 
 def mode_l2_norm_sq(K: Mode, d: DomainSpec) -> float:

@@ -45,3 +45,31 @@ def draw_params(rng: np.random.Generator):
         mobility=MobilitySpec(h0=rng.uniform(0.2, 3.0)),
     )
     return p, DomainSpec((l1, l2, l3))
+
+
+def draw_case_params(rng: np.random.Generator, case: str):
+    """One random admissible parameter set on a box of the given case:
+    ``distinct``, ``two_equal`` and ``all_equal`` edges, ``near_tie`` (the
+    two longest edges a relative 1e-15 … 1e-4 apart, declared tied), or
+    ``tiny_tc`` (gamma 1e-12 … 1 above its threshold, so Tc is as small)."""
+    p, d = draw_params(rng)
+    l1, l2, l3 = d.lengths
+    if case == "two_equal":
+        d = DomainSpec((l1, l1, l3))
+    elif case == "all_equal":
+        d = DomainSpec((l1, l1, l1))
+    elif case == "near_tie":
+        delta = 10.0 ** rng.uniform(-15.0, -4.0)
+        l2 = l1 * (1.0 - delta)
+        # the third edge stays clear of the 1000x ambiguity window
+        d = DomainSpec((l1, l2, l2 * rng.uniform(0.3, 0.7)), tie_tolerance=2.0 * delta)
+    elif case == "tiny_tc":
+        threshold = 0.5 * p.alpha * math.pi**2 / l1**2
+        gamma = threshold + 10.0 ** rng.uniform(-12.0, 0.0)
+        p = PhysicalParams(R=p.R, gamma=gamma, alpha=p.alpha, ubar=p.ubar, mobility=p.mobility)
+    elif case != "distinct":
+        raise ValueError(f"unknown case {case!r}")
+    return p, d
+
+
+BOX_CASES = ("distinct", "two_equal", "all_equal", "near_tie", "tiny_tc")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chtransition import DomainSpec, PhysicalParams, classify_transition
-from chtransition.cli import main
+from chtransition.cli import _build_parser, main
 from chtransition.config import ConfigError, load_config
 
 BASE = """
@@ -389,3 +389,26 @@ class TestParserBasics:
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["classify", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert code == 2
+
+    def test_calls_in_one_process_parse_independently(self, tmp_path, capsys):
+        # the parser is built once per process; each call still gets its own
+        # subcommand, options and defaults
+        assert _build_parser() is _build_parser()
+        cfg = str(_write(tmp_path, BASE + "\n[reduce]\ndt = 0.01\nsteps = 10\n[run]\nseed = 5\n"))
+        runs = [
+            ("reduce", ["--seed", "11"]),
+            ("classify", ["--seed", "3", "--quiet"]),
+            ("reduce", ["--quiet"]),
+        ]
+        for n, (command, extra) in enumerate(runs):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / f"o{n}"), *extra]) == 0
+        comments = [
+            line for line in (tmp_path / "o0" / "reduced.csv").read_text().splitlines()
+            if line.startswith("#")
+        ]
+        assert "# seed = 11" in comments
+        assert "# seed = 5" in (tmp_path / "o2" / "reduced.csv").read_text().splitlines()
+        assert not (tmp_path / "o1" / "reduced.csv").exists()
+        assert (tmp_path / "o1" / "report.json").exists()
+        out = capsys.readouterr().out
+        assert "reduced trajectory" in out and out.count("\n") == 1

@@ -15,7 +15,8 @@ from chtransition import (
     verify_pes,
 )
 from chtransition.linstab import _growth_rates, _scan
-from conftest import draw_params
+from chtransition.spectral import SpectralGrid
+from conftest import BOX_CASES, draw_case_params, draw_params
 
 
 class TestGrowthRate:
@@ -139,6 +140,17 @@ class TestPES:
         with pytest.raises(ValueError):
             verify_pes(p, d, t_grid=(0.3, 0.4))
 
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_below_one_is_refused(self, canonical, k_max):
+        p, d = canonical
+        with pytest.raises(ValueError, match="k_max"):
+            verify_pes(p, d, k_max=k_max)
+
+    def test_k_max_one_scans_the_axis_modes(self, canonical):
+        p, d = canonical
+        report = verify_pes(p, d, k_max=1)
+        assert report.passed and report.critical_modes == ((1, 0, 0),)
+
 
 class TestBisection:
     def test_canonical(self, canonical):
@@ -171,3 +183,78 @@ class TestBisection:
         p, d = canonical
         with pytest.raises(ValueError):
             critical_temperature_bisect(p, d, bracket=(0.3, 0.5))
+
+
+def _full_scan_bisect(p, d, bracket=None, k_max=8, tol=0.0):
+    """Reference: the bisection that evaluates every scanned growth rate at
+    every step, with the eigenvalues of a `SpectralGrid` band."""
+    u = p.ubar
+    if bracket is None:
+        hi = 2.0 * p.gamma * u * (1.0 - u) / p.R
+        bracket = (1e-12 * hi, 1.01 * hi)
+    lo, hi = bracket
+    rho = SpectralGrid((k_max + 1,) * 3, d).rho.ravel()[1:]
+
+    def worst(T):
+        return float(_growth_rates(rho, T, p).max())
+
+    f_lo, f_hi = worst(lo), worst(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0.0:
+        raise ValueError("no sign change")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if f_lo * worst(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _outcome(bisect, p, d, kw):
+    try:
+        return bisect(p, d, **kw)
+    except ValueError:
+        return "no sign change"
+
+
+class TestVertexBisection:
+    """The bisection evaluates only the eigenvalues next to the vertex of
+    the rate parabola; every decision, and so every result, must be the
+    full scan's."""
+
+    @pytest.mark.parametrize("case", BOX_CASES)
+    def test_matches_full_scan_to_the_bit(self, case):
+        rng = np.random.default_rng(BOX_CASES.index(case) + 101)
+        for _ in range(40):
+            p, d = draw_case_params(rng, case)
+            tc = critical_temperature(p, d)
+            for kw in (
+                {},
+                {"k_max": 1},
+                {"k_max": 3, "tol": 1e-6 * tc},
+                {"bracket": (0.5 * tc, 1.5 * tc)},
+                {"bracket": (tc, 2.0 * tc)},  # Tc itself may round to either side
+                {"bracket": (1.1 * tc, 2.0 * tc)},  # no root
+            ):
+                assert _outcome(critical_temperature_bisect, p, d, kw) == _outcome(
+                    _full_scan_bisect, p, d, kw
+                )
+
+    @pytest.mark.parametrize("case", BOX_CASES)
+    def test_scan_eigenvalues_are_the_grid_band(self, case):
+        p, d = draw_case_params(np.random.default_rng(7), case)
+        modes, rho = _scan(d, k_max=5)
+        assert len(modes) == 215
+        assert rho.tobytes() == SpectralGrid((6, 6, 6), d).rho.ravel()[1:].tobytes()
+
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_k_max_below_one_is_refused(self, canonical, k_max):
+        p, d = canonical
+        with pytest.raises(ValueError, match="k_max"):
+            critical_temperature_bisect(p, d, k_max=k_max)

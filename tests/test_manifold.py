@@ -12,19 +12,24 @@ from chtransition import (
     PhysicalParams,
     ReducedState,
     cm_coefficients,
+    critical_set,
     critical_temperature,
     critical_vector_field,
     cubic_coefficients,
+    derive_coefficients,
     enumerate_equilibria,
     growth_rate,
     integrate_reduced,
+    laplacian_eigenvalue,
+    mode_l2_norm_sq,
     reduced_potential,
     reduced_vector_field,
     straight_line_orbits,
     transition_discriminants,
+    triple_product,
 )
-from chtransition.manifold import _field_at
-from conftest import draw_params
+from chtransition.manifold import _field_at, _kind
+from conftest import BOX_CASES, draw_case_params, draw_params
 
 D1 = DomainSpec((math.pi, 2.0, 1.0))
 D2 = DomainSpec((math.pi, math.pi, 1.0))
@@ -111,6 +116,64 @@ class TestManifoldCoefficients:
             vals.append(cm_coefficients(state, p, D1, form="quotient")[(2, 0, 0)])
         assert vals[0] == pytest.approx(vals[1], rel=1e-14)
         assert vals[1] == pytest.approx(vals[2], rel=1e-14)
+
+
+def _quotient_by_triple_products(state, p, d):
+    """Reference: the projection quotient with one `triple_product` per
+    pair of critical modes and slaved mode, summed in `product` order."""
+    modes = critical_set(p, d).modes
+    y = dict(zip(modes, state.y))
+    b2 = derive_coefficients(p, state.T).b2
+    values = {}
+    for K in sorted({tuple(a + b for a, b in zip(J, L)) for J, L in product(modes, repeat=2)}):
+        acc = 0.0
+        for J, L in product(modes, repeat=2):
+            acc += y[J] * y[L] * triple_product(J, L, K, d)
+        values[K] = (
+            p.mobility.h0 * b2 * laplacian_eigenvalue(K, d) * acc
+            / (growth_rate(K, state.T, p, d) * mode_l2_norm_sq(K, d))
+        )
+    return values
+
+
+def _bits(values):
+    """Keys in order and the bytes of the values, so NaNs compare too."""
+    return list(values), np.array(list(values.values())).tobytes()
+
+
+class TestQuotientTable:
+    """The quotient reads its cancellation counts from a table per critical
+    set; its values must be those of the per-pair triple products."""
+
+    @pytest.mark.parametrize("case", BOX_CASES)
+    def test_matches_triple_product_loop_to_the_bit(self, case):
+        rng = np.random.default_rng(BOX_CASES.index(case) + 201)
+        for _ in range(30):
+            p, d = draw_case_params(rng, case)
+            tc, m = critical_temperature(p, d), d.multiplicity
+            for T in (tc, tc * (1.0 - 0.05 * rng.uniform())):
+                for y in (rng.normal(size=m), rng.normal(size=m) * 1e-150, [0.0, -0.0, 1e300][:m]):
+                    state = ReducedState(y=tuple(y), T=T)
+                    got = cm_coefficients(state, p, d, form="quotient").values
+                    assert _bits(got) == _bits(_quotient_by_triple_products(state, p, d))
+
+    def test_resonant_slaved_mode_is_named(self):
+        # rho(2,0,0) = 4 on D1, so beta(2,0,0) vanishes where
+        # 2*gamma - R*T/(ubar*(1-ubar)) = 4, that is near T = 3.96 = 0.842*Tc
+        p = _params(0.45, gamma=10.0)
+        T = 3.96
+        while growth_rate((2, 0, 0), T, p, D1) != 0.0:
+            T = math.nextafter(T, math.inf)
+            assert T < 3.96 * (1.0 + 1e-14)
+        with pytest.warns(UserWarning), pytest.raises(ValueError, match=r"\(2, 0, 0\).*T=3\.96"):
+            cm_coefficients(ReducedState(y=(0.5,), T=T), p, D1, form="quotient")
+        # one step away the quotient is finite, and still the loop's
+        T = math.nextafter(T, 0.0)
+        with pytest.warns(UserWarning):
+            got = cm_coefficients(ReducedState(y=(0.5,), T=T), p, D1, form="quotient")
+        assert _bits(got.values) == _bits(
+            _quotient_by_triple_products(ReducedState(y=(0.5,), T=T), p, D1)
+        )
 
 
 class TestVectorFields:
@@ -273,6 +336,58 @@ class TestBatchedEnumeration:
             np.testing.assert_allclose(
                 e.jacobian_eigs, sorted(closed), rtol=0.0, atol=1e-12 * max(map(abs, closed))
             )
+
+
+    @staticmethod
+    def _ladder(eigs, tols):
+        """Reference: the kinds of stacked eigenvalues by nested np.where, a
+        degenerate eigenvalue first, then all negative, all positive."""
+        index = np.where(
+            (np.abs(eigs) <= np.array(tols)[:, None]).any(axis=1),
+            0,
+            np.where((eigs < 0.0).all(axis=1), 1, np.where((eigs > 0.0).all(axis=1), 2, 3)),
+        )
+        kinds = (
+            EquilibriumKind.DEGENERATE,
+            EquilibriumKind.ATTRACTOR,
+            EquilibriumKind.REPELLER,
+            EquilibriumKind.SADDLE,
+        )
+        return [kinds[k] for k in index.tolist()]
+
+    def test_kind_rule_matches_the_ladder_on_edge_values(self):
+        nan, inf = math.nan, math.inf
+        rows = [
+            [-2.0, -1.0, -0.5], [0.5, 1.0, 2.0], [-1.0, 0.5, 2.0], [-1.0, 1e-13, 2.0],
+            [-1e-12, -1.0, -2.0], [0.0, 1.0, 2.0], [-0.0, -1.0, -2.0], [nan, -1.0, -2.0],
+            [1.0, nan, 2.0], [nan, 1e-13, 1.0], [-inf, -1.0, -2.0], [inf, 1.0, 2.0],
+            [-inf, inf, 1.0], [nan, nan, nan],
+        ]
+        for tol in (1e-12, 0.0):
+            got = [_kind(row, tol) for row in rows]
+            assert got == self._ladder(np.array(rows), [tol] * len(rows))
+
+    @pytest.mark.parametrize("case", BOX_CASES)
+    def test_kinds_match_the_array_ladder(self, case):
+        rng = np.random.default_rng(BOX_CASES.index(case) + 301)
+        for _ in range(20):
+            p, d = draw_case_params(rng, case)
+            tc = critical_temperature(p, d)
+            for T, sigma_at in product((0.97 * tc, 1.03 * tc), ("critical", "ambient")):
+                try:
+                    eqs = enumerate_equilibria(p, d, T, sigma_at=sigma_at)
+                except DegenerateCubicError:
+                    continue
+                if not eqs:
+                    continue
+                beta = growth_rate((1, 0, 0), T, p, d)
+                a1, a2 = cubic_coefficients(p, d, T=T if sigma_at == "ambient" else None)
+                tols = []
+                for e in eqs:
+                    q = beta / (a1 + (sum(v != 0.0 for v in e.y) - 1) * a2)
+                    tols.append(1e-12 * (0.5 * q * (abs(a1) + abs(a2))))
+                eigs = np.array([e.jacobian_eigs for e in eqs])
+                assert [e.kind for e in eqs] == self._ladder(eigs, tols)
 
 
 class TestStraightLines:

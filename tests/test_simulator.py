@@ -509,6 +509,31 @@ class TestTaylorFlux:
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
+    def test_folded_h1_b2_term_matches_its_flux(self):
+        # the step puts div(2*h1*b2*u^2*grad(u)) = (2/3)*h1*b2*Lap(u^3) on the
+        # cubic weight; the reference builds the flux from a second gradient
+        p = PhysicalParams(
+            R=1, gamma=1, alpha=1, ubar=0.4, mobility=MobilitySpec(h0=1.0, h1=0.5)
+        )
+        shape = (12, 12, 12)
+        T = 0.96 * critical_temperature(p, D)
+        u = random_initial_field(D, shape, 0.1, np.random.default_rng(5))
+        s = SimState(u=u, t=0.0, T=T, params=p)
+        b, mob = derive_coefficients(p, T), p.mobility
+        assert b.b2 != 0.0
+        got = Stepper(s, StepConfig(dt=0.01, grid=shape)).explicit_term(u.coeffs)
+
+        g = SpectralGrid(shape, D)
+        u_grid = g.synthesize(u.coeffs)
+        expect = -mob.h0 * g.rho * g.analyze(b.b2 * u_grid**2 + b.b3 * u_grid**3)
+        flux = [
+            mob.h1 * u_grid * d - 2.0 * mob.h1 * b.b2 * u_grid**2 * e
+            for d, e in zip(g.gradient((-p.alpha * g.rho - b.b1) * u.coeffs), g.gradient(u.coeffs))
+        ]
+        expect -= g.divergence(flux)
+        expect[0, 0, 0] = 0.0
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
 class TestHeldArrays:
     """A stepper holds its padded-grid arrays: steady stepping allocates
     none, and reusing them carries no state from one call to the next.  The

@@ -21,6 +21,8 @@ from chtransition import (
 from chtransition.spectral import (
     SpectralGrid,
     _check_mode,
+    cancellation_counts,
+    counted_triple_product,
     integrate_grid,
     load_grid,
     save_grid,
@@ -413,6 +415,33 @@ class TestTripleProducts:
             assert triple_product(J, L, K, D) == pytest.approx(
                 _triple_quad(J, L, K, D), abs=1e-12
             )
+
+
+    def test_counts_reproduce_the_per_axis_sums_to_the_bit(self):
+        # reference: per axis, a quarter of the length summed over the sign
+        # choices whose wavenumber cancels, the product stopping at a zero
+        def one_axis(j, l, k, length):
+            return 0.25 * sum(
+                length for s1 in (1, -1) for s2 in (1, -1) if j + s1 * l + s2 * k == 0
+            )
+
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            lengths = sorted(rng.uniform(0.1, 7.0, 3) * 10.0 ** rng.integers(-3, 4), reverse=True)
+            d = DomainSpec(tuple(lengths))
+            for _ in range(300):
+                J, L, K = (tuple(rng.integers(0, 5, 3).tolist()) for _ in range(3))
+                if (0, 0, 0) in (J, L, K):
+                    continue
+                expect = 1.0
+                for ax in range(3):
+                    expect *= one_axis(J[ax], L[ax], K[ax], d.lengths[ax])
+                    if expect == 0.0:
+                        break
+                counts = cancellation_counts(J, L, K)
+                assert all(0 <= c <= 4 for c in counts)
+                assert counted_triple_product(counts, d) == expect
+                assert triple_product(J, L, K, d) == expect
 
 
 class TestNorms:
