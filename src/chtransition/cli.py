@@ -158,16 +158,21 @@ def cmd_simulate(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
     return 0
 
 
-def cmd_reduce(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
+def _y0(cfg: RunConfig, section: str) -> tuple[float, ...]:
+    """The ``y0`` of the ``reduce`` or ``validate`` section, refused unless
+    it has one component per critical mode."""
+    y0 = getattr(cfg, section).y0
     m = cfg.domain.multiplicity
-    if len(cfg.reduce.y0) != m:
+    if len(y0) != m:
         raise ConfigError(
-            f"reduce.y0 has {len(cfg.reduce.y0)} components but the domain "
-            f"carries {m} critical modes"
+            f"{section}.y0 has {len(y0)} components but the domain carries {m} critical modes"
         )
-    y0 = ReducedState(y=cfg.reduce.y0, T=cfg.T)
+    return y0
+
+
+def cmd_reduce(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
     traj = integrate_reduced(
-        y0,
+        ReducedState(y=_y0(cfg, "reduce"), T=cfg.T),
         cfg.physical,
         cfg.domain,
         dt=cfg.reduce.dt,
@@ -243,12 +248,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
-    m = cfg.domain.multiplicity
-    if len(cfg.validate.y0) != m:
-        raise ConfigError(
-            f"validate.y0 has {len(cfg.validate.y0)} components but the domain "
-            f"carries {m} critical modes"
-        )
+    y0 = _y0(cfg, "validate")
     modes = critical_set(cfg.physical, cfg.domain).modes
     beta = growth_rate(modes[0], cfg.T, cfg.physical, cfg.domain)
     if beta <= 0:
@@ -257,14 +257,14 @@ def cmd_validate(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
         )
     horizon = cfg.validate.relaxation_times / beta
     s = cfg.simulate
-    seeds = {K: a for K, a in zip(modes, cfg.validate.y0)}
+    seeds = {K: a for K, a in zip(modes, y0)}
     state0 = SimState(
         u=field_from_modes(seeds, s.grid, cfg.domain), t=0.0, T=cfg.T, params=cfg.physical
     )
     result = simulate(state0, _step_config(cfg), t_end=horizon, record_every=1)
     n_steps = len(result.times) - 1
     traj = integrate_reduced(
-        ReducedState(y=cfg.validate.y0, T=cfg.T),
+        ReducedState(y=y0, T=cfg.T),
         cfg.physical,
         cfg.domain,
         dt=s.dt,

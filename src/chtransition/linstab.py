@@ -12,7 +12,6 @@ its size (1, 2 or 3) follows the degeneracy of the box edges.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -194,39 +193,30 @@ def critical_temperature_bisect(
 
     Serves as an independent check of the closed-form critical temperature:
     it scans every mode with indices up to ``k_max`` (at least 1) and never
-    asks which of them is critical.  The distinct eigenvalues are sorted
-    once per call, and each step evaluates only the one or two next to the
-    vertex of the rate parabola, which hold the largest rate.  ``tol`` is
-    an absolute bracket width; the default 0 bisects to float resolution,
-    so the relative error stays at rounding level however small the
-    critical temperature is.  Raises ``ValueError`` when the bracket
-    contains no sign change (in particular when no supercritical regime
-    exists).
+    asks which of them is critical.  Each step evaluates the rate at the
+    smallest scanned eigenvalue ``rho_min`` only: ``beta_K/rho_K =
+    h0*(A(T) - alpha*rho_K)`` falls as ``rho_K`` grows, and the rounded
+    ``alpha*rho`` never decreases as ``rho`` grows, so the largest scanned
+    rate is positive, zero or negative exactly when the rate at ``rho_min``
+    is.  ``tol`` is an absolute bracket width; the default 0 bisects to
+    float resolution, so the relative error stays at rounding level however
+    small the critical temperature is.  Raises ``ValueError`` for a bracket
+    that is not finite with ``0 < lo < hi``, and when the bracket contains
+    no sign change (in particular when no supercritical regime exists).
     """
-    u = p.ubar
     if bracket is None:
+        u = p.ubar
         hi = 2.0 * p.gamma * u * (1.0 - u) / p.R  # all rates negative beyond this
         bracket = (1e-12 * hi, 1.01 * hi)
     lo, hi = bracket
-    rho = np.unique(_scan(d, k_max)[1]).tolist()
-    last = len(rho) - 1
-    h0, gamma, R, alpha = p.mobility.h0, p.gamma, p.R, p.alpha
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError(f"bracket must be finite with 0 < lo < hi, got {bracket!r}")
+    rho_min = float(_scan(d, k_max)[1].min())
 
-    def worst(T: float) -> float:
-        # the rate h0*r*(A - alpha*r) is a concave parabola in r with its
-        # vertex at A/(2*alpha), so the largest rate over the sorted distinct
-        # rho sits next to the vertex; each rate keeps `_growth_rates`'
-        # operations in their order
-        a = 2.0 * gamma - R * T / (u * (1.0 - u))
-        i = bisect_left(rho, a / (2.0 * alpha))
-        r = rho[min(i, last)]
-        rate = h0 * r * (a - alpha * r)
-        if 0 < i <= last:
-            r = rho[i - 1]
-            rate = max(rate, h0 * r * (a - alpha * r))
-        return rate
+    def rate(T: float) -> float:
+        return _growth_rates(rho_min, T, p)
 
-    f_lo, f_hi = worst(lo), worst(hi)
+    f_lo, f_hi = rate(lo), rate(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -239,7 +229,7 @@ def critical_temperature_bisect(
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # float resolution reached
             break
-        if f_lo * worst(mid) <= 0.0:
+        if f_lo * rate(mid) <= 0.0:
             hi = mid
         else:
             lo = mid

@@ -433,27 +433,22 @@ def _kind(eigs: list[float], tol: float) -> EquilibriumKind:
 def straight_line_orbits(m: int) -> list[np.ndarray]:
     """Invariant line directions of the critical cubic system.
 
-    One line for ``m=1``; the two axes plus the two diagonals for ``m=2``
-    (four lines, eight orbits); the three axes, six in-plane diagonals and
-    four space diagonals for ``m=3`` (thirteen lines, 26 orbits).  The
-    counts are exact whenever the two cubic coefficients differ.
+    Each line runs through a pair of ``±`` equilibria: one unit direction
+    for each row of the equilibrium sign table (``_unit_states``) whose
+    first nonzero entry is positive, support sizes ascending.  One line for
+    ``m=1``; the two axes plus the two diagonals for ``m=2`` (four lines,
+    eight orbits); the three axes, six in-plane diagonals and four space
+    diagonals for ``m=3`` (thirteen lines, 26 orbits).  The counts are exact
+    whenever the two cubic coefficients differ.
     """
-    if m == 1:
-        dirs = [np.array([1.0])]
-    elif m == 2:
-        dirs = [np.array(v, dtype=float) for v in ((1, 0), (0, 1), (1, 1), (1, -1))]
-    elif m == 3:
-        axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        plane = [
-            (1, 1, 0), (1, -1, 0),
-            (1, 0, 1), (1, 0, -1),
-            (0, 1, 1), (0, 1, -1),
-        ]
-        space = [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
-        dirs = [np.array(v, dtype=float) for v in axes + plane + space]
-    else:
+    if m not in (1, 2, 3):
         raise ValueError("m must be 1, 2 or 3")
-    return [v / np.linalg.norm(v) for v in dirs]
+    return [
+        row / np.linalg.norm(row)
+        for s in range(1, m + 1)
+        for row in _unit_states(m, s)
+        if row[np.flatnonzero(row)[0]] > 0.0
+    ]
 
 
 @dataclass(frozen=True)

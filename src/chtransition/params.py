@@ -46,13 +46,12 @@ class MobilityProfile:
     ``polynomial`` profiles store coefficients in increasing powers of ``s``;
     ``table`` profiles store ``(s_samples, H_samples)`` and are evaluated by
     linear interpolation.  ``lower_bound`` is the declared strictly positive
-    floor of ``H``; it is verified on a dense sample of ``sample_range``.
+    floor of ``H``; it is verified on 2001 evenly spaced samples of [0, 1].
     """
 
     kind: Literal["polynomial", "table"]
     data: tuple
     lower_bound: float = 1e-8
-    sample_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
         if self.lower_bound <= 0.0:
@@ -72,12 +71,11 @@ class MobilityProfile:
             if any(b <= a for a, b in zip(s, s[1:])):
                 raise ValueError("table abscissae must be strictly increasing")
             object.__setattr__(self, "data", (s, h))
-        lo, hi = self.sample_range
-        samples = self(np.linspace(lo, hi, 2001))
+        samples = self(np.linspace(0.0, 1.0, 2001))
         if samples.min() < self.lower_bound:
             raise ValueError(
                 f"mobility profile drops to {samples.min():.3g}, below the declared "
-                f"lower bound {self.lower_bound:.3g} on {self.sample_range}"
+                f"lower bound {self.lower_bound:.3g} on (0.0, 1.0)"
             )
 
     def __call__(self, s, out=None):

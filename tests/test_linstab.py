@@ -184,6 +184,16 @@ class TestBisection:
         with pytest.raises(ValueError):
             critical_temperature_bisect(p, d, bracket=(0.3, 0.5))
 
+    # reversed, not finite, not positive
+    @pytest.mark.parametrize(
+        "bracket", [(0.5, 0.1), (0.1, math.nan), (-0.1, 0.5), (0.0, 0.5), (0.1, math.inf)]
+    )
+    def test_bad_bracket_is_refused(self, canonical, bracket):
+        p, d = canonical
+        with pytest.raises(ValueError) as exc:
+            critical_temperature_bisect(p, d, bracket=bracket)
+        assert str(exc.value) == f"bracket must be finite with 0 < lo < hi, got {bracket!r}"
+
 
 def _full_scan_bisect(p, d, bracket=None, k_max=8, tol=0.0):
     """Reference: the bisection that evaluates every scanned growth rate at
@@ -223,10 +233,33 @@ def _outcome(bisect, p, d, kw):
         return "no sign change"
 
 
-class TestVertexBisection:
-    """The bisection evaluates only the eigenvalues next to the vertex of
-    the rate parabola; every decision, and so every result, must be the
-    full scan's."""
+class TestSmallestEigenvalueBisection:
+    """The bisection evaluates only the rate at the smallest scanned
+    eigenvalue; every decision, and so every result, must be the full
+    scan's."""
+
+    @pytest.mark.parametrize("case", BOX_CASES)
+    def test_largest_rate_has_the_sign_of_the_smallest_eigenvalue_rate(self, case):
+        # from 1e-12*Tc, where A(T) = 2*gamma - R*T/(ubar*(1-ubar)) may put
+        # the rate parabola's vertex above rho_min, through Tc to 2*Tc
+        rng = np.random.default_rng(BOX_CASES.index(case) + 401)
+        vertex_above = 0
+        for _ in range(40):
+            p, d = draw_case_params(rng, case)
+            tc = critical_temperature(p, d)
+            ts = list(tc * np.geomspace(1e-12, 2.0, 60)) + [
+                tc, math.nextafter(tc, 0.0), math.nextafter(tc, math.inf)
+            ]
+            for k_max in (1, 8):
+                rho = _scan(d, k_max)[1]
+                rho_min = float(rho.min())
+                for T in ts:
+                    a = 2.0 * p.gamma - p.R * T / (p.ubar * (1.0 - p.ubar))
+                    vertex_above += a > 2.0 * p.alpha * rho_min
+                    assert np.sign(_growth_rates(rho, T, p).max()) == np.sign(
+                        _growth_rates(rho_min, T, p)
+                    )
+        assert vertex_above > 0
 
     @pytest.mark.parametrize("case", BOX_CASES)
     def test_matches_full_scan_to_the_bit(self, case):

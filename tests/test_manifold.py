@@ -390,7 +390,30 @@ class TestBatchedEnumeration:
                 assert [e.kind for e in eqs] == self._ladder(eigs, tols)
 
 
+# the invariant directions written out: axes, then in-plane diagonals, then
+# space diagonals
+_HAND_DIRECTIONS = {
+    1: [(1,)],
+    2: [(1, 0), (0, 1), (1, 1), (1, -1)],
+    3: [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1),
+        (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1),
+        (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+    ],
+}
+
+
 class TestStraightLines:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_directions_match_the_hand_list_to_the_byte(self, m):
+        expect = [np.array(v, dtype=float) for v in _HAND_DIRECTIONS[m]]
+        expect = [v / np.linalg.norm(v) for v in expect]
+        got = straight_line_orbits(m)
+        assert len(got) == len(expect)
+        for v, w in zip(got, expect):
+            assert v.dtype == w.dtype and v.shape == w.shape
+            assert v.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("m,lines", [(1, 1), (2, 4), (3, 13)])
     def test_counts(self, m, lines):
         dirs = straight_line_orbits(m)
@@ -399,8 +422,9 @@ class TestStraightLines:
         assert 2 * len(dirs) == {1: 2, 2: 8, 3: 26}[m]
 
     def test_rejects_bad_m(self):
-        with pytest.raises(ValueError):
-            straight_line_orbits(4)
+        for m in (0, 4):
+            with pytest.raises(ValueError, match="m must be 1, 2 or 3"):
+                straight_line_orbits(m)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_invariance(self, m):

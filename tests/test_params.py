@@ -185,8 +185,11 @@ class TestMobilityProfile:
             prof.taylor_data(0.5)
 
     def test_lower_bound_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             MobilityProfile(kind="polynomial", data=(0.05,), lower_bound=0.1)
+        assert str(exc.value) == (
+            "mobility profile drops to 0.05, below the declared lower bound 0.1 on (0.0, 1.0)"
+        )
         with pytest.raises(ValueError):
             # H(s) = 1 - 2 s dips negative on (0, 1)
             MobilityProfile(kind="polynomial", data=(1.0, -2.0), lower_bound=0.01)
