@@ -4,7 +4,7 @@ Subcommands: ``classify``, ``simulate``, ``reduce``, ``sweep``,
 ``validate``.  Each takes ``--config PATH`` plus ``--out DIR``,
 ``--seed N`` and ``--quiet`` and writes plot-ready CSV/JSON files under the
 output directory.  Exit codes: 0 success, 1 numeric failure, 2 bad
-configuration.
+configuration or an output directory that cannot be made.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -71,14 +72,7 @@ def _mode_column(K) -> str:
 
 
 def _step_config(cfg: RunConfig) -> StepConfig:
-    s = cfg.simulate
-    return StepConfig(
-        dt=s.dt,
-        grid=s.grid,
-        scheme=s.scheme,
-        rhs=s.rhs,
-        stabilization=s.stabilization,
-    )
+    return StepConfig(**{f.name: getattr(cfg.simulate, f.name) for f in fields(StepConfig)})
 
 
 def _initial_state(cfg: RunConfig, seed: int, T: float) -> SimState:
@@ -195,7 +189,7 @@ def cmd_reduce(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
     return 0
 
 
-def _sweep_point(cfg: RunConfig, seed: int, eps: float, tc: float):
+def _sweep_point(cfg: RunConfig, eps: float, tc: float):
     T = tc * (1.0 - eps)
     amp_pred = bifurcated_amplitude(cfg.physical, cfg.domain, T)
     s = cfg.simulate
@@ -217,7 +211,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
     tc = critical_temperature(cfg.physical, cfg.domain)
     eps = sorted(cfg.sweep.epsilons)
     with ThreadPoolExecutor(max_workers=cfg.sweep.workers) as pool:
-        points = list(pool.map(lambda e: _sweep_point(cfg, seed, e, tc), eps))
+        points = list(pool.map(lambda e: _sweep_point(cfg, e, tc), eps))
     points.sort()
     log_dt = [math.log(tc - T) for _, T, _, _ in points]
     log_amp = [math.log(a) for _, _, a, _ in points]
@@ -261,7 +255,10 @@ def cmd_validate(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
     state0 = SimState(
         u=field_from_modes(seeds, s.grid, cfg.domain), t=0.0, T=cfg.T, params=cfg.physical
     )
-    result = simulate(state0, _step_config(cfg), t_end=horizon, record_every=1)
+    # no steady stop: the comparison covers the whole horizon it reports
+    result = simulate(
+        state0, _step_config(cfg), t_end=horizon, record_every=1, steady_tol=0.0
+    )
     n_steps = len(result.times) - 1
     traj = integrate_reduced(
         ReducedState(y=y0, T=cfg.T),
@@ -356,7 +353,11 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     seed = args.seed if args.seed is not None else cfg.seed
     try:
         return args.func(cfg, out, seed, args.quiet)

@@ -26,20 +26,22 @@ or, in place of H0-H2, which it then defines (setting both is an error):
     L3 = 1.0
 
 The degeneracy case of the box follows from L1-L3 (equal under
-``tie_tolerance``); there is no ``case`` key.  Each of the sections
-[simulate], [reduce], [sweep] and [validate] is one settings dataclass
-whose fields carry each key's default and converter.  Unknown keys and
-sections are rejected with the offending line number, and so are values
-out of range:
+``tie_tolerance``); there is no ``case`` key.  Each section is one
+settings dataclass whose fields carry each key's converter and, unless the
+key is required, its default; one reader serves them all.  A missing
+required key is refused by name, an unknown section by name, and an
+unknown key or a value out of range at its line:
 
-- positive: ``dt`` (in [simulate] and [reduce]), ``t_end``,
-  ``relaxation_times``;
+- positive: ``R``, ``gamma``, ``alpha``, ``T``, ``H0``, ``L1``-``L3``,
+  ``dt`` (in [simulate] and [reduce]), ``t_end``, ``relaxation_times``;
 - at least 1: ``record_every`` (in [simulate] and [reduce]), ``steps``,
   ``workers``, ``band_limit``;
 - at least 6: each ``grid`` size;
 - nonnegative: ``stabilization``, ``seed_amplitude``, ``tie_tolerance``,
   ``seed``;
-- inside (0, 1): each of ``epsilons``;
+- inside (0, 1): ``ubar`` and each of ``epsilons``;
+- ``L2``, ``L3``: not longer than the length before them;
+- ``profile``: no table knot at ``ubar``, and none of ``H0``-``H2`` beside it;
 - ``seed_modes``: distinct modes, each three nonnegative integers, not all
   zero, below the ``grid`` size along each axis;
 - ``y0`` (in [reduce] and [validate]): one amplitude per critical mode.
@@ -48,7 +50,7 @@ out of range:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .params import (
     DomainSpec,
@@ -103,46 +105,6 @@ def parse_kv_file(path) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-class _Section:
-    def __init__(self, path, name: str, raw: dict[str, tuple[str, int]]):
-        self.path = path
-        self.name = name
-        self.raw = dict(raw)
-        self.seen: set[str] = set()
-
-    def _take(self, key: str):
-        self.seen.add(key)
-        return self.raw.get(key)
-
-    def require(self, key: str, conv):
-        item = self._take(key)
-        if item is None:
-            raise ConfigError(f"missing key {key!r} in section [{self.name}]", self.path)
-        return self._convert(key, item, conv)
-
-    def optional(self, key: str, conv, default):
-        item = self._take(key)
-        if item is None:
-            return default
-        return self._convert(key, item, conv)
-
-    def _convert(self, key: str, item: tuple[str, int], conv):
-        value, lineno = item
-        try:
-            return conv(value)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}", self.path, lineno)
-
-    def reject_unknown(self) -> None:
-        for key, (_, lineno) in self.raw.items():
-            if key not in self.seen:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{self.name}]", self.path, lineno
-                )
-
-
 def _as_float(s: str) -> float:
     v = float(s)
     if not math.isfinite(v):
@@ -177,18 +139,22 @@ def _as_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _as_floats(s: str) -> tuple[float, ...]:
+def _fraction(s: str) -> float:
+    v = _as_float(s)
+    if not 0.0 < v < 1.0:
+        raise ValueError("must lie in (0, 1)")
+    return v
+
+
+def _as_floats(s: str, conv=_as_float) -> tuple[float, ...]:
     parts = s.replace(",", " ").split()
     if not parts:
         raise ValueError("expected at least one number")
-    return tuple(_as_float(p) for p in parts)
+    return tuple(conv(p) for p in parts)
 
 
 def _as_epsilons(s: str) -> tuple[float, ...]:
-    eps = _as_floats(s)
-    if not all(0.0 < e < 1.0 for e in eps):
-        raise ValueError("each must lie in (0, 1)")
-    return eps
+    return _as_floats(s, _fraction)
 
 
 def _as_grid(s: str) -> tuple[int, int, int]:
@@ -253,9 +219,35 @@ def _as_modes(s: str) -> dict[Mode, float]:
     return out
 
 
-def _setting(conv, default):
-    """A settings field: its default and the converter of its config value."""
+def _setting(conv, default=MISSING):
+    """A settings field: the converter of its config value and its default;
+    a field without a default is a required key."""
     return field(default=default, metadata={"conv": conv})
+
+
+@dataclass(frozen=True)
+class _PhysicalSettings:
+    R: float = _setting(_positive)
+    gamma: float = _setting(_positive)
+    alpha: float = _setting(_positive)
+    ubar: float = _setting(_fraction)
+    T: float = _setting(_positive)
+
+
+@dataclass(frozen=True)
+class _MobilitySettings:
+    profile: MobilityProfile | None = _setting(_as_profile, None)
+    H0: float = _setting(_positive, 1.0)
+    H1: float = _setting(_as_float, 0.0)
+    H2: float = _setting(_as_float, 0.0)
+
+
+@dataclass(frozen=True)
+class _DomainSettings:
+    L1: float = _setting(_positive)
+    L2: float = _setting(_positive)
+    L3: float = _setting(_positive)
+    tie_tolerance: float = _setting(_nonnegative, 1e-12)
 
 
 # the stepping settings a StepConfig shares take its defaults
@@ -299,6 +291,11 @@ class ValidateSettings:
 
 
 @dataclass(frozen=True)
+class _RunSettings:
+    seed: int = _setting(_at_least(int, 0), 0)
+
+
+@dataclass(frozen=True)
 class RunConfig:
     physical: PhysicalParams
     domain: DomainSpec
@@ -310,99 +307,95 @@ class RunConfig:
     seed: int
 
 
-_KNOWN_SECTIONS = {
-    "physical", "mobility", "domain", "simulate", "reduce", "sweep", "validate", "run",
+_SECTIONS = {
+    "physical": _PhysicalSettings,
+    "mobility": _MobilitySettings,
+    "domain": _DomainSettings,
+    "simulate": SimulateSettings,
+    "reduce": ReduceSettings,
+    "sweep": SweepSettings,
+    "validate": ValidateSettings,
+    "run": _RunSettings,
 }
 
 
-def _settings(cls, sec: _Section):
-    """The settings ``cls`` from ``sec``: each key read in field order by its
-    field's converter, an absent one at the field's default."""
-    values = {f.name: sec.optional(f.name, f.metadata["conv"], f.default) for f in fields(cls)}
-    sec.reject_unknown()
+def _read(cls, raw: dict[str, tuple[str, int]], path, name: str):
+    """The settings ``cls`` of section ``[name]``: each key converted in
+    field order by its field's converter, an absent one at the field's
+    default; a missing required key, a bad value and then an unknown key
+    are refused."""
+    values = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            if f.default is MISSING:
+                raise ConfigError(f"missing key {f.name!r} in section [{name}]", path)
+            continue
+        value, lineno = raw[f.name]
+        try:
+            values[f.name] = f.metadata["conv"](value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {f.name!r}: {exc}", path, lineno)
+    for key, (_, lineno) in raw.items():
+        if key not in values:
+            raise ConfigError(f"unknown key {key!r} in section [{name}]", path, lineno)
     return cls(**values)
 
 
 def load_config(path) -> RunConfig:
     raw = parse_kv_file(path)
     for name in raw:
-        if name not in _KNOWN_SECTIONS:
+        if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]", path)
+    read = {name: _read(cls, raw.get(name, {}), path, name) for name, cls in _SECTIONS.items()}
 
-    def section(name: str) -> _Section:
-        return _Section(path, name, raw.get(name, {}))
+    def error_at(name: str, key: str, message: str) -> ConfigError:
+        return ConfigError(message, path, raw[name][key][1])
 
-    phys = section("physical")
-    r = phys.require("R", _as_float)
-    gamma = phys.require("gamma", _as_float)
-    alpha = phys.require("alpha", _as_float)
-    ubar = phys.require("ubar", _as_float)
-    temp = phys.require("T", _as_float)
-    phys.reject_unknown()
-
-    mob = section("mobility")
-    mobility = mob.optional(
-        "profile", lambda s: MobilitySpec.from_profile(_as_profile(s), ubar), None
+    phys, mob, dom, simulate = (read[n] for n in ("physical", "mobility", "domain", "simulate"))
+    if mob.profile is None:
+        mobility = MobilitySpec(mob.H0, mob.H1, mob.H2)
+    else:
+        try:
+            mobility = MobilitySpec.from_profile(mob.profile, phys.ubar)
+        except ValueError as exc:
+            raise error_at("mobility", "profile", f"bad value for 'profile': {exc}")
+        for key in ("H0", "H1", "H2"):
+            if key in raw["mobility"]:
+                raise error_at("mobility", key, f"{key!r} is set by 'profile'")
+    physical = PhysicalParams(
+        R=phys.R, gamma=phys.gamma, alpha=phys.alpha, ubar=phys.ubar, mobility=mobility
     )
-    taylor = {"H0": 1.0, "H1": 0.0, "H2": 0.0}
-    for key, default in taylor.items():
-        if mobility is not None and key in mob.raw:
-            raise ConfigError(f"{key!r} is set by 'profile'", path, mob.raw[key][1])
-        taylor[key] = mob.optional(key, _as_float, default)
-    mob.reject_unknown()
-
-    dom = section("domain")
-    l1 = dom.require("L1", _as_float)
-    l2 = dom.require("L2", _as_float)
-    l3 = dom.require("L3", _as_float)
-    tie_tol = dom.optional("tie_tolerance", _nonnegative, 1e-12)
-    dom.reject_unknown()
-
     try:
-        if mobility is None:
-            mobility = MobilitySpec(*taylor.values())
-        physical = PhysicalParams(R=r, gamma=gamma, alpha=alpha, ubar=ubar, mobility=mobility)
-        domain = DomainSpec(lengths=(l1, l2, l3), tie_tolerance=tie_tol)
+        domain = DomainSpec(lengths=(dom.L1, dom.L2, dom.L3), tie_tolerance=dom.tie_tolerance)
     except ValueError as exc:
-        raise ConfigError(str(exc), path)
+        # the converters leave DomainSpec one rule, L1 >= L2 >= L3: name the
+        # first length that exceeds the one before it
+        raise error_at("domain", "L2" if dom.L2 > dom.L1 else "L3", str(exc))
 
-    sim = section("simulate")
-    simulate = _settings(SimulateSettings, sim)
     if simulate.seed_modes is not None:
         try:
             field_from_modes(simulate.seed_modes, simulate.grid, domain)
         except ValueError as exc:
-            raise ConfigError(
-                f"bad value for 'seed_modes': {exc}", path, sim.raw["seed_modes"][1]
-            )
-    red = section("reduce")
-    reduce_ = _settings(ReduceSettings, red)
-    sweep = _settings(SweepSettings, section("sweep"))
-    val = section("validate")
-    validate = _settings(ValidateSettings, val)
+            raise error_at("simulate", "seed_modes", f"bad value for 'seed_modes': {exc}")
     # a given y0 carries one amplitude per critical mode (the domain's
     # multiplicity); the command that uses the one-component default checks it
     m = domain.multiplicity
-    for sec, settings in ((red, reduce_), (val, validate)):
-        if "y0" in sec.raw and len(settings.y0) != m:
-            raise ConfigError(
-                f"bad value for 'y0': {len(settings.y0)} components but the domain "
+    for name in ("reduce", "validate"):
+        if "y0" in raw.get(name, {}) and len(read[name].y0) != m:
+            raise error_at(
+                name,
+                "y0",
+                f"bad value for 'y0': {len(read[name].y0)} components but the domain "
                 f"carries {m} critical modes",
-                path,
-                sec.raw["y0"][1],
             )
-
-    run = section("run")
-    seed = run.optional("seed", _at_least(int, 0), 0)
-    run.reject_unknown()
 
     return RunConfig(
         physical=physical,
         domain=domain,
-        T=temp,
+        T=phys.T,
         simulate=simulate,
-        reduce=reduce_,
-        sweep=sweep,
-        validate=validate,
-        seed=seed,
+        reduce=read["reduce"],
+        sweep=read["sweep"],
+        validate=read["validate"],
+        seed=read["run"].seed,
     )

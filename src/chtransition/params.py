@@ -147,6 +147,10 @@ class MobilitySpec:
     profile: MobilityProfile | None = None
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.h0, self.h1, self.h2)):
+            raise ValueError(
+                f"mobility h0, h1, h2 = {self.h0:g}, {self.h1:g}, {self.h2:g} must be finite"
+            )
         if self.h0 <= 0.0:
             raise ValueError("mobility at the mean fraction must be positive")
 

@@ -336,9 +336,10 @@ def simulate(
     free energy can rise across it).  If Newton fails (no convergence within
     its iteration cap, or a non-finite iterate), the run keeps the
     time-stepped state, tries Newton no more, integrates on to ``t_end`` and
-    reports ``converged=False``.  Tracked mode amplitudes default to the
-    critical set of the domain.  Raises ``ValueError`` for ``record_every``
-    below 1.
+    reports ``converged=False``.  ``steady_tol = 0`` disables the stop: the
+    run then always integrates to ``t_end``.  Tracked mode amplitudes
+    default to the critical set of the domain.  Raises ``ValueError`` for
+    ``record_every`` below 1.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")

@@ -94,6 +94,16 @@ class TestConfigParsing:
         assert main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"run.cfg:{lineno}:" in capsys.readouterr().err
 
+    def test_profile_with_overflowing_derivatives_names_its_line(self, tmp_path, capsys):
+        # the values on [0, 1] stay finite; H' and H'' at ubar overflow to nan
+        text = BASE.replace("H0 = 1.0", "profile = poly 1 1e308 1e308 -1e308")
+        lineno = text.splitlines().index("profile = poly 1 1e308 1e308 -1e308") + 1
+        path = _write(tmp_path, text)
+        assert main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"run.cfg:{lineno}: bad value for 'profile': mobility h0, h1, h2" in err
+        assert "must be finite" in err
+
     def test_readme_config_loads_as_written_and_with_each_profile(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("\n```", 1)[0]
@@ -140,11 +150,23 @@ class TestConfigParsing:
             ("run", "seed", "-3"),
             ("sweep", "epsilons", "0.01 1.5"),
             ("sweep", "epsilons", "0"),
+            *[("physical", key, v) for key in ("R", "gamma", "alpha") for v in ("0", "-1")],
+            *[("physical", "ubar", v) for v in ("0", "1", "1.5")],
+            *[("physical", "T", v) for v in ("0", "-0.2")],
+            ("mobility", "H0", "0"),
+            *[("domain", key, "0") for key in ("L1", "L2", "L3")],
         ],
     )
     def test_out_of_range_value_names_the_line(self, tmp_path, capsys, section, key, value):
-        text = BASE + f"\n[{section}]\n{key} = {value}\n"
-        lineno = len(text.splitlines())
+        lines = BASE.splitlines()
+        given = [i for i, line in enumerate(lines) if line.startswith(f"{key} = ")]
+        if given:
+            # a key BASE sets takes the bad value in place
+            lines[given[0]] = f"{key} = {value}"
+            text, lineno = "\n".join(lines) + "\n", given[0] + 1
+        else:
+            text = BASE + f"\n[{section}]\n{key} = {value}\n"
+            lineno = len(text.splitlines())
         path = _write(tmp_path, text)
         assert main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"run.cfg:{lineno}: bad value for '{key}'" in capsys.readouterr().err
@@ -223,6 +245,22 @@ seed = 0
         minimal = load_config(_write(tmp_path, BASE))
         assert load_config(_write(tmp_path, full, name="full.cfg")) == minimal
 
+    @pytest.mark.parametrize(
+        "lengths,key", [("1.0 2.0 0.5", "L2"), ("2.0 1.0 1.5", "L3"), ("1.0 2.0 3.0", "L2")]
+    )
+    def test_unsorted_lengths_name_the_first_longer_one(self, tmp_path, capsys, lengths, key):
+        l1, l2, l3 = lengths.split()
+        text = BASE.replace("L1 = 3.141592653589793", f"L1 = {l1}").replace(
+            "L2 = 2.0", f"L2 = {l2}"
+        ).replace("L3 = 1.0", f"L3 = {l3}")
+        lineno = next(
+            i for i, line in enumerate(text.splitlines(), 1) if line.startswith(f"{key} = ")
+        )
+        path = _write(tmp_path, text)
+        assert main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"run.cfg:{lineno}: edge lengths must be sorted: L1 >= L2 >= L3" in err
+
     def test_physics_validation_becomes_config_error(self, tmp_path):
         broken = BASE.replace("ubar = 0.5", "ubar = 1.5")
         with pytest.raises(ConfigError, match="ubar"):
@@ -261,6 +299,16 @@ class TestClassifyCommand:
         assert report["m"] == 2
         assert any("continuum" in n for n in report["notes"])
         assert json.loads((out / "equilibria.json").read_text())["matches"]
+
+    @pytest.mark.parametrize("command", ["classify", "simulate"])
+    @pytest.mark.parametrize("temp", ["0", "-0.2"])
+    def test_nonpositive_temperature_is_refused(self, tmp_path, capsys, command, temp):
+        text = BASE.replace("T = 0.24", f"T = {temp}")
+        lineno = text.splitlines().index(f"T = {temp}") + 1
+        out = tmp_path / "out"
+        assert main([command, "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 2
+        assert f"run.cfg:{lineno}: bad value for 'T'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_key_exit_code(self, tmp_path, capsys):
         broken = BASE.replace("ubar = 0.5\n", "")
@@ -380,6 +428,22 @@ class TestValidateCommand:
         assert (out / "validate.csv").exists()
 
 
+    def test_rows_cover_the_reported_horizon(self, tmp_path):
+        # the PDE reaches the steady-state test near t = 280, well before the
+        # horizon 15/beta = 375; the comparison still runs to the horizon
+        text = BASE + "\n[simulate]\ngrid = 8\ndt = 0.2\n\n[validate]\nrelaxation_times = 15\n"
+        out = tmp_path / "out"
+        code = main(
+            ["validate", "--config", str(_write(tmp_path, text)), "--out", str(out), "--quiet"]
+        )
+        assert code == 0
+        horizon = json.loads((out / "validate.json").read_text())["horizon"]
+        rows = np.loadtxt(out / "validate.csv", delimiter=",", comments="#", skiprows=3)
+        assert horizon == pytest.approx(375.0, rel=1e-12)
+        assert len(rows) == round(horizon / 0.2) + 1
+        assert rows[-1, 0] == pytest.approx(horizon, rel=1e-12)
+
+
 class TestParserBasics:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -389,6 +453,15 @@ class TestParserBasics:
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["classify", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert code == 2
+
+    def test_out_naming_a_file_is_an_output_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["classify", "--config", str(_write(tmp_path, BASE)), "--out", str(taken)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert str(taken) in err
 
     def test_calls_in_one_process_parse_independently(self, tmp_path, capsys):
         # the parser is built once per process; each call still gets its own

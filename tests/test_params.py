@@ -135,6 +135,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             MobilitySpec(h0=-1.0)
 
+    @pytest.mark.parametrize(
+        "taylor", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0, -math.inf)]
+    )
+    def test_mobility_finite(self, taylor):
+        with pytest.raises(ValueError, match="must be finite"):
+            MobilitySpec(*taylor)
+
 
 class TestMobilityProfile:
     def test_polynomial_taylor_data(self):
