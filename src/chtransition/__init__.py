@@ -57,7 +57,6 @@ from .simulator import (
     StepConfig,
     StepRejectedError,
     Stepper,
-    chemical_potential,
     dissipation,
     free_energy,
     random_initial_field,

@@ -42,6 +42,8 @@ _NUMERIC_ERRORS = (ValueError, StepRejectedError)
 
 
 def _fmt(v) -> str:
+    # rows come as Python floats (`ndarray.tolist` builds them faster than
+    # indexing the arrays), which format to the same text as numpy scalars
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
@@ -106,11 +108,11 @@ def cmd_classify(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
     return 0
 
 
-def _trajectory_rows(result, modes):
-    for i in range(len(result.times)):
-        row = [result.times[i], result.mass[i], result.energy[i], result.dissipation[i]]
-        row.extend(result.amplitudes[K][i] for K in modes)
-        yield row
+def _trajectory_rows(result, modes) -> list[list[float]]:
+    return np.column_stack(
+        [result.times, result.mass, result.energy, result.dissipation]
+        + [result.amplitudes[K] for K in modes]
+    ).tolist()
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
@@ -179,7 +181,7 @@ def cmd_reduce(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
         out / "reduced.csv",
         [f"seed = {seed}", f"T = {_fmt(cfg.T)}", f"escaped = {traj.escaped}"],
         ["t"] + [_mode_column(K) for K in modes],
-        ([traj.times[i]] + list(traj.states[i]) for i in range(len(traj.times))),
+        np.column_stack([traj.times, traj.states]).tolist(),
     )
     _say(
         quiet,
@@ -275,12 +277,9 @@ def cmd_validate(cfg: RunConfig, out: Path, seed: int, quiet: bool) -> int:
         [np.abs(result.amplitudes[K][:n] - traj.states[:n, j]) for j, K in enumerate(modes)]
     )
     max_dev = float(devs.max())
-    rows = []
-    for i in range(n):
-        row = [result.times[i]]
-        row.extend(result.amplitudes[K][i] for K in modes)
-        row.extend(traj.states[i])
-        rows.append(row)
+    rows = np.column_stack(
+        [result.times[:n]] + [result.amplitudes[K][:n] for K in modes] + [traj.states[:n]]
+    ).tolist()
     _write_csv(
         out / "validate.csv",
         [f"seed = {seed}", f"T = {_fmt(cfg.T)}"],

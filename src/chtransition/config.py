@@ -29,8 +29,9 @@ The degeneracy case of the box follows from L1-L3 (equal under
 ``tie_tolerance``); there is no ``case`` key.  Each section is one
 settings dataclass whose fields carry each key's converter and, unless the
 key is required, its default; one reader serves them all.  A missing
-required key is refused by name, an unknown section by name, and an
-unknown key or a value out of range at its line:
+required key is refused by name at its section's header line (with no
+line when the section is absent), an unknown section at its header line,
+and an unknown key or a value out of range at its line:
 
 - positive: ``R``, ``gamma``, ``alpha``, ``T``, ``H0``, ``L1``-``L3``,
   ``dt`` (in [simulate] and [reduce]), ``t_end``, ``relaxation_times``;
@@ -77,9 +78,11 @@ class ConfigError(ValueError):
         super().__init__(loc + message)
 
 
-def parse_kv_file(path) -> dict[str, dict[str, tuple[str, int]]]:
-    """Parse ``[section]`` / ``key = value`` lines, keeping line numbers."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def parse_kv_file(path) -> dict[str, tuple[int, dict[str, tuple[str, int]]]]:
+    """Parse ``[section]`` / ``key = value`` lines, keeping line numbers:
+    each section maps to the line of its (first) header and its keys, each
+    key to its value and line."""
+    sections: dict[str, tuple[int, dict[str, tuple[str, int]]]] = {}
     current: str | None = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -90,7 +93,7 @@ def parse_kv_file(path) -> dict[str, dict[str, tuple[str, int]]]:
                 current = line[1:-1].strip().lower()
                 if not current:
                     raise ConfigError("empty section name", path, lineno)
-                sections.setdefault(current, {})
+                sections.setdefault(current, (lineno, {}))
                 continue
             if "=" not in line:
                 raise ConfigError(f"expected 'key = value', got {line!r}", path, lineno)
@@ -99,9 +102,10 @@ def parse_kv_file(path) -> dict[str, dict[str, tuple[str, int]]]:
             key, value = (part.strip() for part in line.split("=", 1))
             if not key:
                 raise ConfigError("empty key", path, lineno)
-            if key in sections[current]:
+            keys = sections[current][1]
+            if key in keys:
                 raise ConfigError(f"duplicate key {key!r}", path, lineno)
-            sections[current][key] = (value, lineno)
+            keys[key] = (value, lineno)
     return sections
 
 
@@ -319,16 +323,19 @@ _SECTIONS = {
 }
 
 
-def _read(cls, raw: dict[str, tuple[str, int]], path, name: str):
-    """The settings ``cls`` of section ``[name]``: each key converted in
-    field order by its field's converter, an absent one at the field's
-    default; a missing required key, a bad value and then an unknown key
-    are refused."""
+def _read(cls, header: int | None, raw: dict[str, tuple[str, int]], path, name: str):
+    """The settings ``cls`` of section ``[name]``, whose header is on line
+    ``header`` (``None`` when the file has no such section): each key
+    converted in field order by its field's converter, an absent one at the
+    field's default; a missing required key (at the header), a bad value
+    and then an unknown key are refused."""
     values = {}
     for f in fields(cls):
         if f.name not in raw:
             if f.default is MISSING:
-                raise ConfigError(f"missing key {f.name!r} in section [{name}]", path)
+                raise ConfigError(
+                    f"missing key {f.name!r} in section [{name}]", path, header
+                )
             continue
         value, lineno = raw[f.name]
         try:
@@ -342,11 +349,15 @@ def _read(cls, raw: dict[str, tuple[str, int]], path, name: str):
 
 
 def load_config(path) -> RunConfig:
-    raw = parse_kv_file(path)
-    for name in raw:
+    parsed = parse_kv_file(path)
+    for name, (header, _) in parsed.items():
         if name not in _SECTIONS:
-            raise ConfigError(f"unknown section [{name}]", path)
-    read = {name: _read(cls, raw.get(name, {}), path, name) for name, cls in _SECTIONS.items()}
+            raise ConfigError(f"unknown section [{name}]", path, header)
+    raw = {name: keys for name, (_, keys) in parsed.items()}
+    read = {
+        name: _read(cls, *parsed.get(name, (None, {})), path, name)
+        for name, cls in _SECTIONS.items()
+    }
 
     def error_at(name: str, key: str, message: str) -> ConfigError:
         return ConfigError(message, path, raw[name][key][1])

@@ -21,6 +21,7 @@ rounding by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -38,7 +39,6 @@ __all__ = [
     "Stepper",
     "simulate",
     "free_energy",
-    "chemical_potential",
     "dissipation",
     "random_initial_field",
 ]
@@ -135,17 +135,29 @@ class SimResult:
     steps_taken: int
 
 
+def _coeffs_key(coeffs: np.ndarray) -> tuple:
+    """Shape, dtype and bytes: equal for bit-equal coefficient arrays only."""
+    return coeffs.shape, coeffs.dtype, coeffs.tobytes()
+
+
 class Stepper:
     """Reusable time stepper bound to one trajectory in one thread.
 
     Precomputes the diagonal implicit symbols; keeps the previous explicit
     term for the second-order scheme (its first step falls back to the
     first-order update).  It holds every padded-grid array its explicit term
-    and the diagnostics (`free_energy`, `dissipation`, `chemical_potential`)
-    need, each built on first use and reused by every ``step``, ``advance``
-    and diagnostic, so steady stepping and recording allocate only
-    band-shaped arrays; the held arrays are why a stepper serves one
-    trajectory in one thread.
+    and the diagnostics (`free_energy`, `dissipation`, `potential`,
+    `hessian_product`) need, each built on first use and reused by every
+    ``step``, ``advance`` and diagnostic, so steady stepping and recording
+    allocate only band-shaped arrays; the held arrays are why a stepper
+    serves one trajectory in one thread.
+
+    A diagnostic holds the samples of its coefficients in ``u`` and, once
+    worked out, their potential, under a copy of the coefficients as key.
+    The next diagnostic, ``step`` or ``advance`` on bit-equal coefficients
+    reuses them, so a recorded state is synthesised once for its record and
+    its step.  A step compares coefficients only while a key is held, and
+    drops it.
     """
 
     def __init__(self, state: SimState, cfg: StepConfig) -> None:
@@ -175,6 +187,11 @@ class Stepper:
         )
         self._prev_g: np.ndarray | None = None
         self._work: dict[str, np.ndarray] = {}
+        # the held state: the key of the coefficients whose samples the held
+        # ``u`` has, and their potential once worked out; neither is used
+        # while the key is None
+        self._key: tuple | None = None
+        self._mu: np.ndarray | None = None
 
     def _padded(self, *names: str) -> list[np.ndarray]:
         """The held padded-grid arrays of these names, built on first use."""
@@ -183,12 +200,22 @@ class Stepper:
                 self._work[name] = np.empty(self.grid.pad_shape)
         return [self._work[name] for name in names]
 
+    def _hold(self, coeffs: np.ndarray) -> np.ndarray:
+        """The held ``u`` with the samples of ``coeffs``, which become the
+        held state: synthesised unless they are already held."""
+        key = _coeffs_key(coeffs)
+        u_grid, = self._padded("u")
+        if key != self._key:
+            self._key = self._mu = None
+            self.grid.synthesize(coeffs, out=u_grid)
+            self._key = key
+        return u_grid
+
     def _potential(self, coeffs: np.ndarray) -> np.ndarray:
-        """Band coefficients of the chemical potential (zero mode dropped).
-        Leaves the samples of ``coeffs`` in the held ``u``; spends ``poly``."""
+        """Band coefficients of the chemical potential (zero mode dropped)
+        from the samples of ``coeffs`` in the held ``u``; spends ``poly``."""
         b, g = self.coeffs_b, self.grid
         u_grid, poly = self._padded("u", "poly")
-        g.synthesize(coeffs, out=u_grid)
         np.multiply(b.b3, u_grid, out=poly)  # b2*u^2 + b3*u^3, in place
         poly += b.b2
         poly *= u_grid
@@ -201,30 +228,64 @@ class Stepper:
 
     def _mobility_grid(self) -> np.ndarray:
         """``H(ubar + u)`` of the samples in the held ``u``, written into the
-        held ``poly``: the full profile under ``divergence``, else the
-        quadratic Taylor truncation about ``ubar``.  Overwrites ``u``."""
+        held ``poly``: the full profile under ``divergence`` (``ubar + u`` in
+        ``flux0``), else the quadratic Taylor truncation about ``ubar``,
+        which spends ``u`` and so drops the held state."""
         p = self.params
         mob = p.mobility
-        u_grid, out = self._padded("u", "poly")
+        u_grid, out, shifted = self._padded("u", "poly", "flux0")
         if self._profile_in_use:
-            u_grid += p.ubar
-            return mob.profile(u_grid, out=out)
+            return mob.profile(np.add(u_grid, p.ubar, out=shifted), out=out)
+        self._key = self._mu = None
         return mob.taylor_value(u_grid, out=out)
+
+    def potential(self, coeffs: np.ndarray) -> np.ndarray:
+        """Band coefficients of the chemical potential, the variational
+        derivative of the free energy truncated to the band:
+        ``-alpha*Lap(u) + b1*u + b2*u^2 + b3*u^3`` with its zero mode
+        dropped.  A fresh array; ``coeffs`` and their potential become the
+        held state."""
+        self._hold(coeffs)
+        if self._mu is None:
+            self._mu = self._potential(coeffs)
+        return self._mu.copy()
+
+    def hessian_product(self, coeffs: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The second variation of the free energy at ``coeffs`` applied to
+        ``v``: ``(alpha*rho + b1)*v + (2*b2*u + 3*b3*u^2)*v`` truncated to
+        the band, zero mode dropped.  ``coeffs`` become the held state, so
+        products at one state synthesise ``u`` once."""
+        b, g = self.coeffs_b, self.grid
+        u_grid = self._hold(coeffs)
+        weight, v_grid = self._padded("poly", "u2")
+        np.multiply(3.0 * b.b3, u_grid, out=weight)  # 2*b2*u + 3*b3*u^2, in place
+        weight += 2.0 * b.b2
+        weight *= u_grid
+        weight *= g.synthesize(v, out=v_grid)
+        out = (self.params.alpha * self.rho + b.b1) * v + g.analyze(weight)
+        out[0, 0, 0] = 0.0
+        return out
 
     # -- explicit part -----------------------------------------------------
 
     def explicit_term(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients of everything treated explicitly (without the
-        stabilisation shift)."""
+        stabilisation shift).  It reuses the held state when ``coeffs``
+        equal it, and drops it: the explicit term writes over ``u``."""
+        held = self._key is not None and self._key == _coeffs_key(coeffs)
+        mu = self._mu if held else None
+        self._key = self._mu = None
+        if not held:
+            self.grid.synthesize(coeffs, out=self._padded("u")[0])
         if self.cfg.rhs == "taylor":
             return self._explicit_taylor(coeffs)
-        return self._explicit_divergence(coeffs)
+        return self._explicit_divergence(coeffs, mu)
 
     def _explicit_taylor(self, coeffs: np.ndarray) -> np.ndarray:
+        """The ``taylor`` term from the samples of ``coeffs`` in ``u``."""
         p, b, g = self.params, self.coeffs_b, self.grid
         mob = p.mobility
         u_grid, u2_grid, poly = self._padded("u", "u2", "poly")
-        u_grid = g.synthesize(coeffs, out=u_grid)
         u2_grid = np.multiply(u_grid, u_grid, out=u2_grid)
         # b2*u^2 + c3*u^3, in place.  The h1 part of the b2 term,
         # div(2*h1*b2*u^2*grad(u)) = (2/3)*h1*b2*Lap(u^3), joins the cubic
@@ -251,9 +312,12 @@ class Stepper:
         out[0, 0, 0] = 0.0
         return out
 
-    def _explicit_divergence(self, coeffs: np.ndarray) -> np.ndarray:
+    def _explicit_divergence(self, coeffs: np.ndarray, mu_hat: np.ndarray | None) -> np.ndarray:
+        """The ``divergence`` term from the samples of ``coeffs`` in ``u`` and
+        their potential, worked out here when ``None``."""
         g = self.grid
-        mu_hat = self._potential(coeffs)
+        if mu_hat is None:
+            mu_hat = self._potential(coeffs)
         h_grid = self._mobility_grid()
         flux = g.gradient(mu_hat, out=self._padded("flux0", "flux1", "flux2"))
         for f in flux:
@@ -295,12 +359,12 @@ class Stepper:
             new = (self._num2 * c + dt * (1.5 * g - 0.5 * self._prev_g)) / self._den2
         self._prev_g = g
         new[0, 0, 0] = 0.0
-        if not np.all(np.isfinite(new)):
+        norm = float(np.abs(new).max())
+        if not math.isfinite(norm):
             raise StepRejectedError(
                 f"non-finite coefficients after step at t={state.t:.6g} "
                 f"(dt={dt:.3g}); reduce dt or add stabilization"
             )
-        norm = float(np.abs(new).max())
         if norm > 1e6:
             raise StepRejectedError(
                 f"coefficient overflow ({norm:.3e}) at t={state.t:.6g}; "
@@ -364,7 +428,8 @@ def simulate(
     record(s0)
     state = s0
     converged = False
-    newton_failed = False
+    # the rate test runs until the stop or a failed Newton solve
+    testing = steady_tol > 0.0
     steps_taken = 0
     for n in range(1, n_steps + 1):
         prev = state.u.coeffs
@@ -372,14 +437,14 @@ def simulate(
         steps_taken = n
         if n % record_every == 0 or n == n_steps:
             record(state)
-        if newton_failed:
+        if not testing:
             continue
         delta = float(np.linalg.norm(state.u.coeffs - prev)) / cfg.dt
         tol = steady_tol * (1.0 + float(np.linalg.norm(state.u.coeffs)))
         if delta < tol:
             fixed = _fixed_point(stepper, state.u.coeffs, tol)
             if fixed is None:
-                newton_failed = True
+                testing = False
                 continue
             if times[-1] != state.t:
                 record(state)
@@ -468,12 +533,12 @@ def free_energy(stepper: Stepper, coeffs: np.ndarray) -> float:
     """Quartic free energy of the deviation field ``coeffs`` at the
     stepper's temperature.  The gradient part comes from the coefficients by
     Parseval (`SpectralGrid.gradient_norm_sq`); the potential part is the
-    midpoint quadrature of one synthesis into the stepper's held padded
-    arrays, exact for the quartic of a band-limited field.  Call it from the
-    stepper's own thread."""
+    midpoint quadrature of the samples the stepper holds of ``coeffs``
+    (synthesised unless held), exact for the quartic of a band-limited
+    field.  Call it from the stepper's own thread."""
     b, g = stepper.coeffs_b, stepper.grid
-    u_grid, density = stepper._padded("u", "poly")
-    g.synthesize(coeffs, out=u_grid)
+    u_grid = stepper._hold(coeffs)
+    density, = stepper._padded("poly")
     # b1/2*u^2 + b2/3*u^3 + b3/4*u^4 by Horner, in place
     np.multiply(0.25 * b.b3, u_grid, out=density)
     density += b.b2 / 3.0
@@ -484,13 +549,6 @@ def free_energy(stepper: Stepper, coeffs: np.ndarray) -> float:
     return 0.5 * stepper.params.alpha * g.gradient_norm_sq(coeffs) + integrate_grid(
         density, stepper.domain
     )
-
-
-def chemical_potential(stepper: Stepper, coeffs: np.ndarray) -> SpectralField:
-    """Variational derivative of the free energy, truncated to the field's
-    band: ``-alpha*Lap(u) + b1*u + b2*u^2 + b3*u^3``.  Call it from the
-    stepper's own thread."""
-    return SpectralField(stepper._potential(coeffs), stepper.domain)
 
 
 def dissipation(stepper: Stepper, coeffs: np.ndarray) -> float:
@@ -504,10 +562,12 @@ def dissipation(stepper: Stepper, coeffs: np.ndarray) -> float:
     band coefficients of ``mu`` by Parseval (`SpectralGrid.gradient_norm_sq`,
     exact for the band-limited potential); any other mobility is
     integrated as the midpoint quadrature of ``H |grad(mu)|^2`` on the
-    padded grid.  Call it from the stepper's own thread."""
+    padded grid.  The potential and the samples of ``coeffs`` are the
+    stepper's held ones when it holds them.  Call it from the stepper's own
+    thread."""
     g = stepper.grid
     mob = stepper.params.mobility
-    mu = stepper._potential(coeffs)
+    mu = stepper.potential(coeffs)
     if mob.h1 == 0.0 and mob.h2 == 0.0 and not stepper._profile_in_use:
         return -mob.h0 * g.gradient_norm_sq(mu)
     density = stepper._mobility_grid()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chtransition import DomainSpec, PhysicalParams, classify_transition
-from chtransition.cli import _build_parser, main
+from chtransition.cli import _build_parser, _write_csv, main
 from chtransition.config import ConfigError, load_config
 
 BASE = """
@@ -54,6 +54,22 @@ class TestConfigParsing:
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="plotting"):
             load_config(_write(tmp_path, BASE + "\n[plotting]\nx = 1\n"))
+
+    def test_unknown_section_names_its_header_line(self, tmp_path):
+        text = BASE + "\n[plotting]\nx = 1\n"
+        lineno = text.splitlines().index("[plotting]") + 1
+        with pytest.raises(ConfigError, match=rf"run\.cfg:{lineno}: unknown section \[plotting\]"):
+            load_config(_write(tmp_path, text))
+
+    def test_missing_key_names_its_section_header_line(self, tmp_path):
+        # at the header of its section; with no such section, at no line
+        text = BASE.replace("ubar = 0.5\n", "")
+        lineno = text.splitlines().index("[physical]") + 1
+        with pytest.raises(ConfigError, match=rf"run\.cfg:{lineno}: missing key 'ubar'"):
+            load_config(_write(tmp_path, text))
+        text = BASE[: BASE.index("[domain]")]
+        with pytest.raises(ConfigError, match=r"run\.cfg: missing key 'L1' in section \[domain\]"):
+            load_config(_write(tmp_path, text))
 
     def test_bad_value_reports_line(self, tmp_path):
         broken = BASE.replace("gamma = 1.0", "gamma = much")
@@ -442,6 +458,21 @@ class TestValidateCommand:
         assert horizon == pytest.approx(375.0, rel=1e-12)
         assert len(rows) == round(horizon / 0.2) + 1
         assert rows[-1, 0] == pytest.approx(horizon, rel=1e-12)
+
+
+class TestCsvRows:
+    def test_python_floats_write_the_bytes_of_numpy_floats(self, tmp_path):
+        # the commands write rows from `ndarray.tolist`; the text must be
+        # that of the numpy scalars, signed zero, nan, infinities and
+        # subnormals included
+        values = np.array(
+            [[-0.0, 0.0, np.nan], [np.inf, -np.inf, 5e-324], [-2.5e-310, 0.1, -1.5e300]]
+        )
+        _write_csv(tmp_path / "numpy.csv", ["c"], ["a", "b", "c"], values)
+        _write_csv(tmp_path / "python.csv", ["c"], ["a", "b", "c"], values.tolist())
+        written = (tmp_path / "python.csv").read_bytes()
+        assert written == (tmp_path / "numpy.csv").read_bytes()
+        assert b"-0,0,nan\ninf,-inf,4.9406564584124654e-324\n" in written
 
 
 class TestParserBasics:

@@ -8,6 +8,7 @@ import numpy as np
 
 from chtransition import (
     DomainSpec,
+    MobilityProfile,
     MobilitySpec,
     PhysicalParams,
     SimState,
@@ -87,6 +88,13 @@ def test_transforms_run_through_the_pass_function(monkeypatch):
     s_h0 = SimState(u=u, t=0.0, T=0.2, params=PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.4))
     steppers["h0"] = Stepper(s_h0, StepConfig(dt=0.01, grid=grid))
     steppers["h0"].step(s_h0)
+    profile = MobilitySpec.from_profile(MobilityProfile("polynomial", (0.6, 1.2, -1.0)), 0.4)
+    steppers["profile"] = Stepper(
+        SimState(u=u, t=0.0, T=0.2, params=PhysicalParams(R=1, gamma=1, alpha=1, ubar=0.4,
+                                                          mobility=profile)),
+        StepConfig(dt=0.01, grid=grid, rhs="divergence"),
+    )
+    steppers["profile"].advance(u.coeffs)
     free_energy(steppers["taylor"], u.coeffs)
     assert calls[0]
 
@@ -103,20 +111,51 @@ def test_transforms_run_through_the_pass_function(monkeypatch):
         transform(arg)
         assert calls[0] == expect, transform
 
-    # passes per diagnostic: free_energy synthesises u once (3) and
-    # takes its gradient energy from the coefficients; dissipation
-    # synthesises u (3), analyses the potential (3) and, for a varying
-    # mobility, synthesises its gradient (9); a constant one takes the
-    # gradient energy of the potential from its coefficients
+    # passes per diagnostic on a state the stepper does not hold (an
+    # advance drops it): free_energy synthesises u once (3) and takes its
+    # gradient energy from the coefficients; dissipation synthesises u (3),
+    # analyses the potential (3) and, for a varying mobility, synthesises its
+    # gradient (9); a constant one takes the gradient energy of the
+    # potential from its coefficients
     for diagnostic, stepper, expect in (
         (free_energy, "taylor", 3),
         (dissipation, "taylor", 15),
         (dissipation, "divergence", 15),
+        (dissipation, "profile", 15),
         (dissipation, "h0", 6),
     ):
+        steppers[stepper].advance(u.coeffs)
         calls[0] = 0
         diagnostic(steppers[stepper], u.coeffs)
         assert calls[0] == expect, (diagnostic, stepper)
+
+    # a record (free_energy, then dissipation) and the step of the same
+    # state synthesise u once.  The step reuses u unless the dissipation
+    # spent it on the Taylor mobility, and under a profile the potential
+    # too: a divergence step is gradient (9) and divergence (9) of the
+    # potential, with its synthesis (3) and analysis (3) when not held
+    for stepper, record, step in (
+        ("h0", 3 + 3, 3),
+        ("taylor", 3 + 12, 24),
+        ("divergence", 3 + 12, 24),
+        ("profile", 3 + 12, 18),
+    ):
+        steppers[stepper].advance(u.coeffs)
+        calls[0] = 0
+        free_energy(steppers[stepper], u.coeffs)
+        dissipation(steppers[stepper], u.coeffs)
+        assert calls[0] == record, stepper
+        calls[0] = 0
+        steppers[stepper].advance(u.coeffs)
+        assert calls[0] == step, stepper
+
+    # a product of the second variation at a held state synthesises v (3)
+    # and analyses the product (3); u is synthesised once for all of them
+    steppers["taylor"].advance(u.coeffs)
+    calls[0] = 0
+    for _ in range(3):
+        steppers["taylor"].hessian_product(u.coeffs, u.coeffs)
+    assert calls[0] == 3 + 3 * 6
 
 
 def test_enumeration_linearises_the_states_together(monkeypatch):

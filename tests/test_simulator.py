@@ -17,7 +17,6 @@ from chtransition import (
     StepConfig,
     StepRejectedError,
     Stepper,
-    chemical_potential,
     critical_temperature,
     derive_coefficients,
     dissipation,
@@ -124,14 +123,14 @@ class TestDiagnostics:
         s = SimState(u=SpectralField.zeros(SMALL, D), t=0.0, T=0.24, params=P)
         stepper, c = _diag_stepper(s), s.u.coeffs
         assert free_energy(stepper, c) == 0.0
-        assert np.abs(chemical_potential(stepper, c).coeffs).max() == 0.0
+        assert np.abs(stepper.potential(c)).max() == 0.0
         assert dissipation(stepper, c) == 0.0
 
     def test_coefficients_of_another_grid_rejected(self):
         # the stepper's band is (8, 8, 8); (8, 8, 1) would broadcast against it
         s = _state({(1, 0, 0): 0.1})
         stepper, c = _diag_stepper(s), s.u.coeffs[:, :, :1]
-        for diagnostic in (free_energy, chemical_potential, dissipation):
+        for diagnostic in (free_energy, Stepper.potential, dissipation):
             with pytest.raises(ValueError, match="band"):
                 diagnostic(stepper, c)
 
@@ -153,7 +152,7 @@ class TestDiagnostics:
         s = _state({(2, 1, 0): eps})
         b = derive_coefficients(P, s.T)
         rho = laplacian_eigenvalue((2, 1, 0), D)
-        mu = chemical_potential(_diag_stepper(s), s.u.coeffs)
+        mu = SpectralField(_diag_stepper(s).potential(s.u.coeffs), D)
         assert mu.amplitude((2, 1, 0)) == pytest.approx(
             (P.alpha * rho + b.b1) * eps, rel=1e-9
         )
@@ -163,7 +162,7 @@ class TestDiagnostics:
         s = _state({(1, 0, 0): eps})
         b = derive_coefficients(P, s.T)
         rho = laplacian_eigenvalue((1, 0, 0), D)
-        mu = chemical_potential(_diag_stepper(s), s.u.coeffs)
+        mu = SpectralField(_diag_stepper(s).potential(s.u.coeffs), D)
         # cos^3 projects 3/4 onto the mode and 1/4 onto its third harmonic
         assert mu.amplitude((1, 0, 0)) == pytest.approx(
             (P.alpha * rho + b.b1) * eps + 0.75 * b.b3 * eps**3, rel=1e-12
@@ -176,9 +175,9 @@ class TestDiagnostics:
         v = random_initial_field(D, SMALL, 1.0, rng, band_limit=3)
         s = SimState(u=u, t=0.0, T=0.24, params=P)
         stepper = _diag_stepper(s)
-        mu = chemical_potential(stepper, u.coeffs)
+        mu = stepper.potential(u.coeffs)
         weights = _norm_weights(SMALL, D)
-        inner = float((mu.coeffs * v.coeffs * weights).sum())
+        inner = float((mu * v.coeffs * weights).sum())
         h = 1e-6
         def energy(shift):
             return free_energy(stepper, u.coeffs + shift * v.coeffs)
@@ -619,6 +618,38 @@ class TestHeldArrays:
         stepper.advance(c2)
         assert np.array_equal(stepper.advance(c1), first)
 
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_diagnostics_then_step_match_fresh_steppers(self, case, scheme):
+        # free_energy, dissipation and potential on each state before its
+        # step: their values, the states, and the diagnostics of a state
+        # again after its step equal those of steppers that hold nothing
+        stepper, s = self._stepper(case, scheme)
+        plain, expect_s = self._stepper(case, scheme)
+        diagnostics = (free_energy, dissipation, Stepper.potential)
+        for _ in range(3):
+            c = s.u.coeffs
+            expect = [_bits(f(self._stepper(case, scheme)[0], c)) for f in diagnostics]
+            assert [_bits(f(stepper, c)) for f in diagnostics] == expect
+            s, expect_s = stepper.step(s), plain.step(expect_s)
+            assert _bits(s.u.coeffs) == _bits(expect_s.u.coeffs)
+            assert [_bits(f(stepper, c)) for f in diagnostics] == expect
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_coefficients_changed_in_place_are_not_reused(self, case):
+        stepper, s = self._stepper(case)
+        c = s.u.coeffs
+        for change in ((1, 0, 0), (0, 1, 0)):
+            free_energy(stepper, c)
+            dissipation(stepper, c)
+            stepper.potential(c)
+            c[change] += 1e-3
+            fresh = self._stepper(case)[0]
+            assert _bits(stepper.potential(c)) == _bits(fresh.potential(c))
+            c[change] += 1e-3
+            fresh = self._stepper(case)[0]
+            assert _bits(stepper.step(s).u.coeffs) == _bits(fresh.step(s).u.coeffs)
+
     def test_interleaved_threads_reproduce_sequential_runs(self):
         steps = 15
         cases = [(case, scheme) for case in self.CASES for scheme in ("imex1", "imex2")]
@@ -652,6 +683,40 @@ class TestHeldArrays:
         assert not any(t.is_alive() for t in threads)
         for g, e in zip(got, expect):
             assert g is not None and np.array_equal(g, e)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+class TestHessianProduct:
+    """The second variation of the free energy: the linearisation of the
+    potential, and symmetric under the inner product of the coefficients."""
+
+    # ubar = 0.45 makes b2 nonzero
+    PARAMS = PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.45)
+
+    def _setup(self):
+        rng = np.random.default_rng(23)
+        u, v, w = (
+            random_initial_field(D, SMALL, a, rng, band_limit=3).coeffs for a in (0.1, 1.0, 1.0)
+        )
+        s = SimState(u=SpectralField(u, D), t=0.0, T=0.2, params=self.PARAMS)
+        return _diag_stepper(s), u, v, w
+
+    def test_matches_central_differences_of_the_potential(self):
+        stepper, u, v, _ = self._setup()
+        hv = stepper.hessian_product(u, v)
+        h = 1e-5
+        fd = (stepper.potential(u + h * v) - stepper.potential(u - h * v)) / (2 * h)
+        assert np.abs(hv - fd).max() <= 1e-7 * np.abs(hv).max()
+
+    def test_symmetric_under_the_mode_weights(self):
+        stepper, u, v, w = self._setup()
+        weights = _norm_weights(SMALL, D)
+        v_hw = v * stepper.hessian_product(u, w) * weights
+        w_hv = w * stepper.hessian_product(u, v) * weights
+        assert abs(v_hw.sum() - w_hv.sum()) <= 1e-12 * np.abs(v_hw).sum()
 
 
 class TestSpectralResolution:
