@@ -159,17 +159,17 @@ class MobilitySpec:
         h0, h1, h2 = profile.taylor_data(ubar)
         return cls(h0=h0, h1=h1, h2=h2, profile=profile)
 
-    def taylor_value(self, s, out=None):
+    def taylor_value(self, u, out=None, scratch=None):
         """Quadratic Taylor truncation of ``H`` about the mean fraction,
-        as a function of the deviation ``s - ubar`` folded in by the caller
-        (argument is the deviation ``u`` itself), written into ``out``
-        (shaped like ``u``) when given; ``u`` then serves as scratch and is
-        overwritten."""
-        u = np.asarray(s, dtype=float)
+        ``h0 + h1*u + h2/2*u^2`` of the deviation ``u = s - ubar`` (folded
+        in by the caller), written into ``out`` (shaped like ``u``) when
+        given.  ``scratch`` (shaped like ``u``) takes the linear part, fresh
+        when ``None``; ``u`` is left as it is."""
+        u = np.asarray(u, dtype=float)
         # h0 + h1*u + h2/2*u^2, rounded as that expression
         h = np.multiply(0.5 * self.h2, u, out=out)
         h *= u
-        linear = np.multiply(self.h1, u, out=None if out is None else u)
+        linear = np.multiply(self.h1, u, out=scratch)
         linear += self.h0
         h += linear
         return h

@@ -53,7 +53,9 @@ _KRYLOV_DIM = 20
 
 
 class StepRejectedError(RuntimeError):
-    """A time step produced a non-finite or exploding state."""
+    """A time step produced a non-finite or exploding state, or met a
+    mobility that is not positive (below a profile's lower bound), where
+    the equation is no longer parabolic."""
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,14 @@ class Stepper:
         self.coeffs_b = derive_coefficients(state.params, state.T)
         self.grid = SpectralGrid(cfg.grid, self.domain)
         self.rho = self.grid.rho
-        self.beta = -state.params.mobility.h0 * (
-            state.params.alpha * self.rho**2 + self.coeffs_b.b1 * self.rho
-        )
+        h0 = state.params.mobility.h0
+        self.beta = -h0 * (state.params.alpha * self.rho**2 + self.coeffs_b.b1 * self.rho)
+        # band constants of every step: the linear part alpha*rho + b1 of the
+        # potential, its exact negation (the taylor flux input's) and the
+        # -h0*rho of the taylor analysis
+        self._mu_linear = state.params.alpha * self.rho + self.coeffs_b.b1
+        self._neg_mu_linear = -self._mu_linear
+        self._neg_h0_rho = -h0 * self.rho
         lam = self.beta - cfg.stabilization * self.rho**2
         dt = cfg.dt
         self._den1 = 1.0 - dt * lam
@@ -194,10 +201,12 @@ class Stepper:
         self._mu: np.ndarray | None = None
 
     def _padded(self, *names: str) -> list[np.ndarray]:
-        """The held padded-grid arrays of these names, built on first use."""
+        """The held padded-grid arrays of these names, built on first use;
+        ``flux`` stacks three components."""
         for name in names:
             if name not in self._work:
-                self._work[name] = np.empty(self.grid.pad_shape)
+                shape = self.grid.pad_shape
+                self._work[name] = np.empty((3, *shape) if name == "flux" else shape)
         return [self._work[name] for name in names]
 
     def _hold(self, coeffs: np.ndarray) -> np.ndarray:
@@ -220,7 +229,7 @@ class Stepper:
         poly += b.b2
         poly *= u_grid
         poly *= u_grid
-        mu = (self.params.alpha * self.rho + b.b1) * coeffs + g.analyze(poly)
+        mu = self._mu_linear * coeffs + g.analyze(poly)
         # the polynomial part may carry a mean; the potential is defined up to a
         # constant, so drop it
         mu[0, 0, 0] = 0.0
@@ -228,16 +237,43 @@ class Stepper:
 
     def _mobility_grid(self) -> np.ndarray:
         """``H(ubar + u)`` of the samples in the held ``u``, written into the
-        held ``poly``: the full profile under ``divergence`` (``ubar + u`` in
-        ``flux0``), else the quadratic Taylor truncation about ``ubar``,
-        which spends ``u`` and so drops the held state."""
+        held ``poly``: the full profile under ``divergence``, else the
+        quadratic Taylor truncation about ``ubar``.  ``flux[0]`` takes
+        ``ubar + u`` or the truncation's linear part, so ``u`` and the held
+        state stay."""
         p = self.params
         mob = p.mobility
-        u_grid, out, shifted = self._padded("u", "poly", "flux0")
+        u_grid, out, flux = self._padded("u", "poly", "flux")
         if self._profile_in_use:
-            return mob.profile(np.add(u_grid, p.ubar, out=shifted), out=out)
-        self._key = self._mu = None
-        return mob.taylor_value(u_grid, out=out)
+            return mob.profile(np.add(u_grid, p.ubar, out=flux[0]), out=out)
+        return mob.taylor_value(u_grid, out=out, scratch=flux[0])
+
+    def _require_parabolic(self, h_grid: np.ndarray, offset: float = 0.0) -> None:
+        """Refuse the mobility ``offset + h_grid`` when its least value is not
+        positive (the Taylor truncation) or below the lower bound of the
+        profile in use: the equation is not parabolic there.  One reduction;
+        the point is located only on refusal.  A non-finite grid passes, for
+        the step's own finiteness check."""
+        mob = self.params.mobility
+        low = offset + float(h_grid.min())
+        if self._profile_in_use:
+            bound = mob.profile.lower_bound
+            if not low < bound:
+                return
+            name = f"{mob.profile.kind} mobility profile"
+            why = f"below its lower bound {bound:.3g}"
+        else:
+            if not low <= 0.0:
+                return
+            name = (f"Taylor mobility h0 + h1*u + h2/2*u^2 "
+                    f"(h0={mob.h0:g}, h1={mob.h1:g}, h2={mob.h2:g})")
+            why = "not positive"
+        at = np.unravel_index(int(np.argmin(h_grid)), h_grid.shape)
+        x = ", ".join(f"{(i + 0.5) * length / m:.4g}"
+                      for i, length, m in zip(at, self.domain.lengths, h_grid.shape))
+        raise StepRejectedError(
+            f"{name} reaches {low:.4g} at x = ({x}), {why}: the equation is not parabolic there"
+        )
 
     def potential(self, coeffs: np.ndarray) -> np.ndarray:
         """Band coefficients of the chemical potential, the variational
@@ -262,7 +298,7 @@ class Stepper:
         weight += 2.0 * b.b2
         weight *= u_grid
         weight *= g.synthesize(v, out=v_grid)
-        out = (self.params.alpha * self.rho + b.b1) * v + g.analyze(weight)
+        out = self._mu_linear * v + g.analyze(weight)
         out[0, 0, 0] = 0.0
         return out
 
@@ -271,7 +307,9 @@ class Stepper:
     def explicit_term(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients of everything treated explicitly (without the
         stabilisation shift).  It reuses the held state when ``coeffs``
-        equal it, and drops it: the explicit term writes over ``u``."""
+        equal it, and drops it: the ``taylor`` term with h1 or h2 writes over
+        ``u``.  Raises `StepRejectedError` where a varying mobility is not
+        positive (`_require_parabolic`)."""
         held = self._key is not None and self._key == _coeffs_key(coeffs)
         mu = self._mu if held else None
         self._key = self._mu = None
@@ -294,19 +332,18 @@ class Stepper:
         np.multiply(c3, u_grid, out=poly)
         poly += b.b2
         poly *= u2_grid
-        out = -mob.h0 * self.rho * g.analyze(poly)
+        out = self._neg_h0_rho * g.analyze(poly)
 
         if mob.h1 != 0.0 or mob.h2 != 0.0:
             # one flux for the rest: h1 * u * grad(alpha*Lap(u) - b1*u)
             # + h2/2 * u^2 * grad(alpha*Lap(u) - b1*u).  The analysis spent
             # poly and u is not needed again: they take the weight and its h2
-            # part, and the gradients are weighted in place
+            # part, and the gradient is weighted in place
             weight = np.multiply(mob.h1, u_grid, out=poly)
             weight += np.multiply(0.5 * mob.h2, u2_grid, out=u_grid)
-            flux = g.gradient((-p.alpha * self.rho - b.b1) * coeffs,
-                              out=self._padded("flux0", "flux1", "flux2"))
-            for f in flux:
-                f *= weight
+            self._require_parabolic(weight, mob.h0)
+            flux = g.gradient(self._neg_mu_linear * coeffs, out=self._padded("flux")[0])
+            flux *= weight
             out -= g.divergence(flux)
 
         out[0, 0, 0] = 0.0
@@ -319,9 +356,9 @@ class Stepper:
         if mu_hat is None:
             mu_hat = self._potential(coeffs)
         h_grid = self._mobility_grid()
-        flux = g.gradient(mu_hat, out=self._padded("flux0", "flux1", "flux2"))
-        for f in flux:
-            f *= h_grid
+        self._require_parabolic(h_grid)
+        flux = g.gradient(mu_hat, out=self._padded("flux")[0])
+        flux *= h_grid
         rhs = g.divergence(flux)
         rhs[0, 0, 0] = 0.0
         return rhs - self.beta * coeffs
@@ -352,7 +389,10 @@ class Stepper:
                 )
         c = state.u.coeffs
         dt = self.cfg.dt
-        g = self.explicit_term(c) + self._stab * c
+        try:
+            g = self.explicit_term(c) + self._stab * c
+        except StepRejectedError as exc:
+            raise StepRejectedError(f"{exc} (step from t={state.t:.6g})") from None
         if self.cfg.scheme == "imex1" or self._prev_g is None:
             new = self._imex1(c, g)
         else:
@@ -494,7 +534,7 @@ def _fixed_point(stepper: Stepper, coeffs: np.ndarray, tol: float) -> np.ndarray
             r = residual(c)
             if np.linalg.norm(r) <= tol and np.linalg.norm(dc) <= tol:
                 return c
-    except FloatingPointError:
+    except (FloatingPointError, StepRejectedError):
         pass
     return None
 
@@ -572,11 +612,11 @@ def dissipation(stepper: Stepper, coeffs: np.ndarray) -> float:
         return -mob.h0 * g.gradient_norm_sq(mu)
     density = stepper._mobility_grid()
     # H * |grad(mu)|^2, summed in place in the order of sum(d * d for d in ...)
-    grad_sq, *rest = g.gradient(mu, out=stepper._padded("flux0", "flux1", "flux2"))
-    grad_sq *= grad_sq
-    for d in rest:
-        d *= d
-        grad_sq += d
+    grad = g.gradient(mu, out=stepper._padded("flux")[0])
+    grad *= grad
+    grad_sq = grad[0]
+    grad_sq += grad[1]
+    grad_sq += grad[2]
     density *= grad_sq
     return -integrate_grid(density, stepper.domain)
 

@@ -120,21 +120,40 @@ def _analysis_matrix(synthesis: np.ndarray, derivative: bool = False) -> np.ndar
 
 def _pass(x: np.ndarray, mat: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """One transform pass: ``x`` with its axis ``axis`` multiplied by
-    ``mat``, written into the C-contiguous ``out`` (fresh when ``None``)."""
+    ``mat``, written into the C-contiguous ``out`` (fresh when ``None``).
+
+    A stack of three matrices ``(3, M, N)`` multiplies slot by slot and puts
+    a leading stack axis on the result; ``x`` carries that stack axis too,
+    or serves all three slots (the axes are the last three of ``x``).  Each
+    slot's product is the one its matrix makes on its own."""
     if out is None:
-        out = np.empty(x.shape[:axis] + mat.shape[:1] + x.shape[axis + 1 :])
+        shape = list(x.shape[-3:])
+        shape[axis] = mat.shape[-2]
+        out = np.empty(mat.shape[:-2] + tuple(shape))
     if axis == 0:
-        np.matmul(mat, x.reshape(x.shape[0], -1), out=out.reshape(out.shape[0], -1))
+        np.matmul(mat, x.reshape(*x.shape[:-2], -1), out=out.reshape(*out.shape[:-2], -1))
     elif axis == 1:
-        np.matmul(mat, x, out=out)
+        np.matmul(mat[..., None, :, :], x, out=out)
     else:
-        np.matmul(x.reshape(-1, x.shape[2]), mat.T, out=out.reshape(-1, out.shape[2]))
+        lead = mat.shape[:-2]
+        np.matmul(x.reshape(*lead, -1, x.shape[-1]), mat.swapaxes(-1, -2),
+                  out=out.reshape(*lead, -1, out.shape[-1]))
     return out
+
+
+def _stack(mats: list[np.ndarray]) -> np.ndarray:
+    """Three matrices of one shape as one ``(3, M, N)`` stack whose slots keep
+    their matrices' memory order (an analysis matrix is Fortran-ordered), so a
+    stacked pass makes the BLAS calls of three single ones."""
+    if all(m.flags.c_contiguous for m in mats):
+        return np.stack(mats)
+    return np.stack([m.T for m in mats]).transpose(0, 2, 1)
 
 
 def _synthesize(coeffs: np.ndarray, mats, work=(None, None), out=None) -> np.ndarray:
     """Samples of ``coeffs`` under the synthesis matrices ``mats`` (one per
-    axis), leading axis first; ``work`` receives the first two passes."""
+    axis, or one stack per axis), leading axis first; ``work`` receives the
+    first two passes."""
     x = coeffs
     for ax, dst in enumerate((*work, out)):
         x = _pass(x, mats[ax], ax, dst)
@@ -166,9 +185,13 @@ class SpectralGrid:
     Synthesis and the gradient write into caller-owned padded arrays
     (``out``, C-contiguous; fresh ones without it); analysis and the
     divergence leave their padded input as it is and return fresh band
-    arrays.  Every transform runs through the grid's own two intermediate
-    pass arrays, built on first use, so one grid serves one thread at a
-    time.
+    arrays.  The gradient and the divergence run their three components
+    together: each pass is one matrix product over a stack of three per-axis
+    matrices, the derivative matrix in slot ``a`` along axis ``a`` and the
+    plain one in the other slots.  Every transform runs through the grid's
+    own intermediate pass arrays (a pair for single transforms and a
+    stacked pair for the gradient and the divergence), built on first use,
+    so one grid serves one thread at a time.
     """
 
     def __init__(self, shape: tuple[int, int, int], domain: DomainSpec) -> None:
@@ -184,74 +207,83 @@ class SpectralGrid:
         for a in (*self.k, self.rho):
             a.flags.writeable = False
         self._matrices: dict[tuple[bool, bool], list[np.ndarray]] = {}
-        self._pass_arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self._pass_arrays: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
 
     def _passes(
-        self, analysis: bool, derivative_axis: int | None = None
+        self, analysis: bool, stacked: bool = False
     ) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """The per-axis matrices of one transform (derivative matrices along
-        ``derivative_axis``) and the two intermediate pass arrays, all built
-        on first use."""
-        if self._pass_arrays is None:
+        """The per-axis matrices of one transform and its two intermediate
+        pass arrays.  Stacked, each axis has a ``(3, M, N)`` stack of
+        matrices (the derivative one in slot ``a`` along axis ``a``) and the
+        pass arrays a leading stack axis.  The matrices are all built on
+        first use of any transform, each pair of pass arrays on first use of
+        its kind; synthesis and analysis share them."""
+        if not self._matrices:
+            # indexed [derivative][axis]
+            to_grid = [
+                [_synthesis_matrix(n, m, length, d)
+                 for n, m, length in zip(self.shape, self.pad_shape, self.domain.lengths)]
+                for d in (False, True)
+            ]
+            to_band = [[_analysis_matrix(a, d) for a in to_grid[d]] for d in (False, True)]
+            for kind, mats in ((False, to_grid), (True, to_band)):
+                self._matrices[kind, False] = mats[False]
+                self._matrices[kind, True] = [
+                    _stack([mats[slot == ax][ax] for slot in range(3)]) for ax in range(3)
+                ]
+        if stacked not in self._pass_arrays:
             n0, n1, n2 = self.shape
             m0, m1, _ = self.pad_shape
-            self._pass_arrays = (np.empty((m0, n1, n2)), np.empty((m0, m1, n2)))
-            for derivative in (False, True):
-                synthesis = [
-                    _synthesis_matrix(n, m, length, derivative)
-                    for n, m, length in zip(self.shape, self.pad_shape, self.domain.lengths)
-                ]
-                self._matrices[False, derivative] = synthesis
-                self._matrices[True, derivative] = [
-                    _analysis_matrix(a, derivative) for a in synthesis
-                ]
-        mats = [self._matrices[analysis, ax == derivative_axis][ax] for ax in range(3)]
-        return mats, self._pass_arrays
+            lead = (3,) if stacked else ()
+            self._pass_arrays[stacked] = (
+                np.empty(lead + (m0, n1, n2)), np.empty(lead + (m0, m1, n2)))
+        return self._matrices[analysis, stacked], self._pass_arrays[stacked]
 
-    def _synthesize_into(
-        self, coeffs: np.ndarray, out: np.ndarray | None, derivative_axis: int | None = None
-    ) -> np.ndarray:
+    def _out(self, out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
         if out is None:
-            out = np.empty(self.pad_shape)
-        elif out.shape != self.pad_shape or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-contiguous array of shape {self.pad_shape}")
-        mats, work = self._passes(False, derivative_axis)
-        return _synthesize(coeffs, mats, work, out)
+            return np.empty(shape)
+        if out.shape != shape or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+        return out
 
     def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Samples of band coefficients on the padded midpoint grid, written
         into ``out`` when given.  Coefficients of another shape are rejected."""
         if coeffs.shape != self.shape:
             raise ValueError(f"coefficients of shape {coeffs.shape} on the band {self.shape}")
-        return self._synthesize_into(coeffs, out)
+        return _synthesize(coeffs, *self._passes(False), self._out(out, self.pad_shape))
 
     def analyze(self, grid: np.ndarray) -> np.ndarray:
         """Band coefficients of samples on the padded grid."""
         return _analyze(np.asarray(grid, dtype=float), *self._passes(True))
 
-    def gradient(
-        self, coeffs: np.ndarray, out: list[np.ndarray] | None = None
-    ) -> list[np.ndarray]:
+    def gradient(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The three partial derivatives of band coefficients sampled on the
-        padded grid, written into the three arrays of ``out`` when given;
-        each is a sine series along its own axis."""
-        return [
-            self._synthesize_into(coeffs, o, ax)
-            for ax, o in enumerate([None] * 3 if out is None else out)
-        ]
+        padded grid, as one C-contiguous ``(3, *pad_shape)`` array (``out``
+        when given): slot ``a`` is the derivative along axis ``a``, a sine
+        series along that axis."""
+        out = self._out(out, (3, *self.pad_shape))
+        return _synthesize(coeffs, *self._passes(False, stacked=True), out)
 
     def gradient_norm_sq(self, coeffs: np.ndarray) -> float:
         """``integral(|grad(u)|^2)`` of band coefficients by Parseval:
         ``sum_K rho_K * c_K^2 * <e_K, e_K>``, with no transform."""
         return float((self.rho * coeffs * coeffs * _norm_weights(self.shape, self.domain)).sum())
 
-    def divergence(self, flux: list[np.ndarray]) -> np.ndarray:
-        """Band coefficients of ``div(flux)`` from padded-grid samples; flux
-        component ``a`` is a sine series along axis ``a``.  The result has
-        exactly zero mean."""
-        total = np.zeros(self.shape)
-        for ax, f in enumerate(flux):
-            total += _analyze(f, *self._passes(True, ax))
+    def divergence(self, flux) -> np.ndarray:
+        """Band coefficients of ``div(flux)`` from padded-grid samples: a
+        ``(3, *pad_shape)`` array (a sequence of three padded arrays is
+        stacked with one copy) whose component ``a`` is a sine series along
+        axis ``a``.  The result has exactly zero mean."""
+        flux = np.asarray(flux, dtype=float)
+        if flux.shape != (3, *self.pad_shape):
+            raise ValueError(f"flux of shape {flux.shape}, not {(3, *self.pad_shape)}")
+        parts = _analyze(flux, *self._passes(True, stacked=True))
+        # the components added into +0.0 one by one, which sets the sign of
+        # a zero sum
+        total = parts[0] + 0.0
+        total += parts[1]
+        total += parts[2]
         return total
 
 

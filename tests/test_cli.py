@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chtransition import DomainSpec, PhysicalParams, classify_transition
+from chtransition import DomainSpec, PhysicalParams, classify_transition, critical_temperature
 from chtransition.cli import _build_parser, _write_csv, main
 from chtransition.config import ConfigError, load_config
 
@@ -403,6 +403,23 @@ class TestSimulateCommand:
 
         grid = load_grid(out / "u_final.bin")
         assert grid.shape == (8, 8, 8)
+
+    def test_mobility_that_is_not_positive_exits_one_at_the_first_step(self, tmp_path, capsys):
+        # H = 1 - 100*u^2 on the criterion-6 quench seeded at 0.9 of the
+        # predicted amplitude 0.2: negative where |u| > 0.1
+        p = PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.5)
+        T = 0.96 * critical_temperature(p, DomainSpec((math.pi, 2.0, 1.0)))
+        text = BASE.replace("T = 0.24", f"T = {T!r}").replace("H0 = 1.0", "H0 = 1.0\nH2 = -200.0")
+        text += "\n[simulate]\ngrid = 12\ndt = 0.1\nt_end = 5.0\nseed_modes = 1 0 0 : 0.18\n"
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, text)
+        code = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("numeric failure: Taylor mobility h0 + h1*u + h2/2*u^2 (h0=1, h1=0, "
+                              "h2=-200) reaches ")
+        assert err.rstrip().endswith("not positive: the equation is not parabolic there "
+                                     "(step from t=0)")
 
 
 class TestSweepCommand:

@@ -102,8 +102,8 @@ def test_transforms_run_through_the_pass_function(monkeypatch):
     for transform, arg, expect in (
         (g.synthesize, u.coeffs, 3),
         (g.analyze, g.synthesize(u.coeffs), 3),
-        (g.gradient, u.coeffs, 9),
-        (g.divergence, g.gradient(u.coeffs), 9),
+        (g.gradient, u.coeffs, 3),
+        (g.divergence, g.gradient(u.coeffs), 3),
         (inverse_transform, u, 3),
         (lambda samples: forward_transform(samples, d), inverse_transform(u), 3),
     ):
@@ -115,13 +115,13 @@ def test_transforms_run_through_the_pass_function(monkeypatch):
     # advance drops it): free_energy synthesises u once (3) and takes its
     # gradient energy from the coefficients; dissipation synthesises u (3),
     # analyses the potential (3) and, for a varying mobility, synthesises its
-    # gradient (9); a constant one takes the gradient energy of the
+    # gradient (3, stacked); a constant one takes the gradient energy of the
     # potential from its coefficients
     for diagnostic, stepper, expect in (
         (free_energy, "taylor", 3),
-        (dissipation, "taylor", 15),
-        (dissipation, "divergence", 15),
-        (dissipation, "profile", 15),
+        (dissipation, "taylor", 9),
+        (dissipation, "divergence", 9),
+        (dissipation, "profile", 9),
         (dissipation, "h0", 6),
     ):
         steppers[stepper].advance(u.coeffs)
@@ -130,15 +130,15 @@ def test_transforms_run_through_the_pass_function(monkeypatch):
         assert calls[0] == expect, (diagnostic, stepper)
 
     # a record (free_energy, then dissipation) and the step of the same
-    # state synthesise u once.  The step reuses u unless the dissipation
-    # spent it on the Taylor mobility, and under a profile the potential
-    # too: a divergence step is gradient (9) and divergence (9) of the
-    # potential, with its synthesis (3) and analysis (3) when not held
+    # state synthesise u once: the step reuses u, and under divergence the
+    # potential too.  A taylor h1/h2 step analyses its polynomial (3) and
+    # takes the gradient (3) and divergence (3) of its flux; a divergence
+    # step is the gradient (3) and divergence (3) of the held potential
     for stepper, record, step in (
         ("h0", 3 + 3, 3),
-        ("taylor", 3 + 12, 24),
-        ("divergence", 3 + 12, 24),
-        ("profile", 3 + 12, 18),
+        ("taylor", 3 + 6, 9),
+        ("divergence", 3 + 6, 6),
+        ("profile", 3 + 6, 6),
     ):
         steppers[stepper].advance(u.coeffs)
         calls[0] = 0

@@ -142,6 +142,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be finite"):
             MobilitySpec(*taylor)
 
+    def test_taylor_value_leaves_its_input(self):
+        mob = MobilitySpec(h0=1.0, h1=0.3, h2=0.8)
+        u = np.random.default_rng(2).uniform(-1.0, 1.0, (4, 5, 6))
+        keep = u.copy()
+        expect = mob.h0 + mob.h1 * u + 0.5 * mob.h2 * u * u
+        out, scratch = np.empty_like(u), np.empty_like(u)
+        assert mob.taylor_value(u, out=out, scratch=scratch) is out
+        for got in (out, mob.taylor_value(u)):
+            assert np.array_equal(got, expect)
+        assert np.array_equal(u, keep)
+
 
 class TestMobilityProfile:
     def test_polynomial_taylor_data(self):

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from chtransition import (
     StepConfig,
     StepRejectedError,
     Stepper,
+    bifurcated_amplitude,
     critical_temperature,
     derive_coefficients,
     dissipation,
@@ -438,7 +440,7 @@ class TestSimulate:
         drift = abs(more.final_state.u.amplitude((1, 0, 0)) - amp)
         assert drift <= 1e-7 * (1.0 + np.linalg.norm(final.u.coeffs))
 
-    @pytest.mark.parametrize("failure", ["iteration cap", "non-finite iterate"])
+    @pytest.mark.parametrize("failure", ["iteration cap", "non-finite iterate", "refused iterate"])
     def test_newton_failure_runs_on_to_t_end(self, monkeypatch, failure):
         import chtransition.simulator as sim
 
@@ -452,8 +454,13 @@ class TestSimulate:
         monkeypatch.setattr(sim, "_fixed_point", counted_fixed_point)
         if failure == "iteration cap":
             monkeypatch.setattr(sim, "_NEWTON_MAXITER", 0)
-        else:
+        elif failure == "non-finite iterate":
             monkeypatch.setattr(Stepper, "advance", lambda self, c: np.full_like(c, np.nan))
+        else:
+            def refuse(self, c):
+                raise StepRejectedError("mobility not positive")
+
+            monkeypatch.setattr(Stepper, "advance", refuse)
         cfg = StepConfig(dt=0.1, grid=SMALL)
         res = simulate(
             _state({(1, 0, 0): 0.19}), cfg, t_end=30.0, record_every=50, steady_tol=1e-3
@@ -469,6 +476,91 @@ class TestSimulate:
         s0 = _state({(1, 0, 0): 0.01})
         res = simulate(s0, StepConfig(dt=0.05, grid=SMALL), t_end=0.5)
         assert set(res.amplitudes) == {(1, 0, 0)}
+
+
+class TestParabolicityGuard:
+    """A step refuses a varying mobility that is not positive, or that drops
+    below the lower bound of the profile in use, naming the mobility, its
+    least value and where it occurs."""
+
+    GRID = (12, 12, 12)
+
+    def _quench(self, mobility, rhs="taylor"):
+        # the criterion-6 quench at eps = 0.04, seeded at 0.9 of the
+        # predicted amplitude
+        p = PhysicalParams(R=1.0, gamma=1.0, alpha=1.0, ubar=0.5, mobility=mobility)
+        T = critical_temperature(p, D) * (1.0 - 0.04)
+        u0 = random_initial_field(D, self.GRID, 1e-4, np.random.default_rng(1234), band_limit=3)
+        u0.coeffs[1, 0, 0] += 0.9 * bifurcated_amplitude(p, D, T)
+        s0 = SimState(u=u0, t=0.0, T=T, params=p)
+        return s0, Stepper(s0, StepConfig(dt=0.1, grid=self.GRID, rhs=rhs))
+
+    @pytest.mark.parametrize("rhs", StepConfig.RHS_FORMS)
+    def test_negative_taylor_mobility_refused_at_the_first_step(self, rhs):
+        # H = 1 - 100*u^2 turns negative where |u| > 0.1; without the guard
+        # the taylor run overflows at t = 0.7
+        s0, stepper = self._quench(MobilitySpec(h0=1.0, h2=-200.0), rhs)
+        u = SpectralGrid(self.GRID, D).synthesize(s0.u.coeffs)
+        h = 1.0 + (-100.0 * u) * u
+        at = np.unravel_index(np.argmin(h), h.shape)
+        x = ", ".join(f"{(i + 0.5) * length / m:.4g}"
+                      for i, length, m in zip(at, D.lengths, h.shape))
+        with pytest.raises(StepRejectedError) as exc:
+            stepper.step(s0)
+        assert str(exc.value) == (
+            f"Taylor mobility h0 + h1*u + h2/2*u^2 (h0=1, h1=0, h2=-200) reaches "
+            f"{h.min():.4g} at x = ({x}), not positive: the equation is not parabolic "
+            f"there (step from t=0)"
+        )
+        with pytest.raises(StepRejectedError, match="not parabolic"):
+            stepper.advance(s0.u.coeffs)
+
+    def test_profile_below_its_lower_bound_refused(self):
+        # ubar + u reaches about -0.3, where H = 0.6 + 1.2*s - s^2 is 0.15
+        s = _state({(1, 0, 0): 0.7}, T=0.2, params=P)
+        for lower_bound, refused in ((0.5, True), (1e-8, False)):
+            profile = MobilityProfile("polynomial", (0.6, 1.2, -1.0), lower_bound=lower_bound)
+            state = replace(s, params=replace(P, ubar=0.4,
+                                              mobility=MobilitySpec.from_profile(profile, 0.4)))
+            stepper = Stepper(state, StepConfig(dt=1e-3, grid=SMALL, rhs="divergence"))
+            if refused:
+                with pytest.raises(
+                    StepRejectedError,
+                    match=r"^polynomial mobility profile reaches 0\.1\d* at x = \(.*\), "
+                          r"below its lower bound 0\.5: the equation is not parabolic",
+                ):
+                    stepper.step(state)
+            else:
+                assert np.all(np.isfinite(stepper.step(state).u.coeffs))
+
+
+class TestMobilityPool:
+    def test_pooled_runs_give_the_bits_of_serial_runs(self):
+        # the criterion-7 mobilities (linear and quadratic taylor, the full
+        # profile under divergence) on a two-thread pool, as in
+        # `chtransition sweep`
+        profile = MobilityProfile("polynomial", (0.6, 1.2, -1.0))
+        runs = [
+            (MobilitySpec(h0=1.0, h1=0.5), "taylor"),
+            (MobilitySpec(h0=1.0, h1=0.3, h2=0.8), "taylor"),
+            (MobilitySpec.from_profile(profile, 0.5), "divergence"),
+        ]
+        grid = (10, 10, 10)
+        u0 = random_initial_field(D, grid, 1e-3, np.random.default_rng(4), band_limit=3)
+        u0.coeffs[1, 0, 0] += 0.2
+
+        def run(mobility_rhs):
+            mobility, rhs = mobility_rhs
+            s0 = SimState(u=SpectralField(u0.coeffs.copy(), D), t=0.0, T=0.23,
+                          params=replace(P, mobility=mobility))
+            res = simulate(s0, StepConfig(dt=0.05, grid=grid, rhs=rhs), t_end=1.5,
+                           record_every=5, steady_tol=0.0)
+            return [_bits(a) for a in (res.final_state.u.coeffs, res.energy, res.dissipation)]
+
+        serial = [run(r) for r in runs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = list(pool.map(run, runs))
+        assert pooled == serial
 
 
 class TestTaylorFlux:
@@ -537,7 +629,8 @@ class TestHeldArrays:
     """A stepper holds its padded-grid arrays: steady stepping allocates
     none, and reusing them carries no state from one call to the next.  The
     cases are the diagnostic references' (b2 != 0 in both non-h0 cases) and
-    a table profile whose knots the samples cross."""
+    a table profile whose knots the samples cross.  The fields keep
+    ``ubar + u`` inside [0, 1], where every case's mobility is positive."""
 
     GRID = (10, 12, 14)
     TABLE = MobilityProfile(
@@ -556,7 +649,7 @@ class TestHeldArrays:
 
     def _stepper(self, case, scheme="imex1", seed=3):
         p, rhs = self.CASES[case]
-        u = random_initial_field(D, self.GRID, 0.1, np.random.default_rng(seed))
+        u = random_initial_field(D, self.GRID, 0.03, np.random.default_rng(seed))
         s = SimState(u=u, t=0.0, T=0.2, params=p)
         return Stepper(s, StepConfig(dt=2e-3, grid=self.GRID, scheme=scheme, rhs=rhs)), s
 
@@ -613,7 +706,7 @@ class TestHeldArrays:
     def test_reuse_carries_no_state_between_calls(self, case):
         stepper, s = self._stepper(case)
         c1 = s.u.coeffs
-        c2 = random_initial_field(D, self.GRID, 0.2, np.random.default_rng(11)).coeffs
+        c2 = random_initial_field(D, self.GRID, 0.03, np.random.default_rng(11)).coeffs
         first = stepper.advance(c1)
         stepper.advance(c2)
         assert np.array_equal(stepper.advance(c1), first)

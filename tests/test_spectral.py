@@ -20,7 +20,11 @@ from chtransition import (
 )
 from chtransition.spectral import (
     SpectralGrid,
+    _analysis_matrix,
+    _analyze,
     _check_mode,
+    _synthesis_matrix,
+    _synthesize,
     cancellation_counts,
     counted_triple_product,
     integrate_grid,
@@ -261,6 +265,79 @@ class TestSpectralGrid:
         assert g.rho.shape == self.SHAPE
         assert g.rho[1, 0, 0] == laplacian_eigenvalue((1, 0, 0), D)
         assert not any(a.flags.writeable for a in (*g.k, g.rho))
+
+
+class TestStackedPasses:
+    """The gradient and the divergence run three stacked passes each.  Every
+    slot must give the bits of the per-axis transform it replaces, signs of
+    zeros included: three single-matrix passes per component, and the
+    divergence's components added into zeros one by one."""
+
+    @staticmethod
+    def _per_axis(g):
+        synthesis = {
+            d: [_synthesis_matrix(n, m, length, d)
+                for n, m, length in zip(g.shape, g.pad_shape, D.lengths)]
+            for d in (False, True)
+        }
+        analysis = {d: [_analysis_matrix(a, d) for a in synthesis[d]] for d in (False, True)}
+
+        def mats(table, ax):
+            return [table[b == ax][b] for b in range(3)]
+
+        def gradient(c):
+            return [_synthesize(c, mats(synthesis, ax)) for ax in range(3)]
+
+        def divergence(flux):
+            total = np.zeros(g.shape)
+            for ax, f in enumerate(flux):
+                total += _analyze(f, mats(analysis, ax))
+            return total
+
+        return gradient, divergence
+
+    @staticmethod
+    def _assert_bits(got, expect):
+        got, expect = np.asarray(got), np.asarray(expect)
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+    @pytest.mark.parametrize("shape", [(6, 7, 8), (12, 12, 12)])
+    @pytest.mark.parametrize("mode", [(1, 0, 0), (0, 2, 1), None])
+    def test_gradient_and_divergence_match_per_axis_passes(self, shape, mode):
+        # a single mode has gradient components that vanish exactly, their
+        # zeros signed by the matrix entries; a signed weight flips them
+        g = SpectralGrid(shape, D)
+        rng = np.random.default_rng(31)
+        if mode is None:
+            c = rng.standard_normal(shape)
+            c[0, 0, 0] = 0.0
+        else:
+            c = field_from_modes({mode: -0.7}, shape, D).coeffs
+        weight = g.synthesize(rng.standard_normal(shape))
+        gradient, divergence = self._per_axis(g)
+        grad = g.gradient(c)
+        assert grad.shape == (3, *g.pad_shape) and grad.flags.c_contiguous
+        self._assert_bits(grad, gradient(c))
+        flux = grad * weight
+        self._assert_bits(g.divergence(flux), divergence(flux))
+        self._assert_bits(g.divergence(list(flux)), divergence(flux))
+        # a flux of negative zeros: the sum starts from +0.0
+        zeros = np.full((3, *g.pad_shape), -0.0)
+        self._assert_bits(g.divergence(zeros), divergence(zeros))
+
+    def test_gradient_writes_into_out_and_refuses_another_layout(self):
+        g = SpectralGrid((6, 7, 8), D)
+        c = field_from_modes({(1, 1, 0): 0.3}, g.shape, D).coeffs
+        out = np.empty((3, *g.pad_shape))
+        assert g.gradient(c, out=out) is out
+        self._assert_bits(out, g.gradient(c))
+        for bad in (np.empty(g.pad_shape), np.empty((3, *g.pad_shape), order="F")):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                g.gradient(c, out=bad)
+        with pytest.raises(ValueError, match="flux of shape"):
+            g.divergence(out[:2])
 
 
 class TestBandTransforms:
