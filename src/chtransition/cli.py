@@ -42,20 +42,20 @@ _NUMERIC_ERRORS = (ValueError, StepRejectedError)
 
 
 def _fmt(v) -> str:
-    # rows come as Python floats (`ndarray.tolist` builds them faster than
-    # indexing the arrays), which format to the same text as numpy scalars
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
 
 
 def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None:
+    # rows of floats (Python's from `ndarray.tolist`, which builds them faster
+    # than indexing, or numpy's): `%.17g` gives the text of `_fmt`
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("".join([row % tuple(values) for values in rows]))
 
 
 def _write_json(path: Path, payload: dict) -> None:

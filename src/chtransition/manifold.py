@@ -17,6 +17,7 @@ orbits organise the local flow.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -236,14 +237,11 @@ def _reduced_coefficients(
 def _field(
     x0: float, x1: float, x2: float, beta: float, a1: float, a2: float
 ) -> tuple[float, float, float]:
-    """The reduced vector field at three amplitudes, on Python floats: on
-    arrays this short numpy's per-call overhead outweighs the arithmetic,
-    and an RK4 step evaluates the field four times.  Each component keeps
-    the operations and their order of the array expression
+    """The reduced vector field at three amplitudes, on Python floats.  Each
+    component keeps the operations and their order of the array expression
     ``beta*y - y*(a1*y*y + a2*(s - y*y))`` with ``s`` the sequential sum of
     squares, so the results are numpy's to the bit.  A system on fewer modes
-    carries the absent ones as ``+0.0``: adding their squares leaves ``s``
-    unchanged, and they stay zero while the others are finite."""
+    carries the absent ones as ``+0.0``, whose squares leave ``s`` as it is."""
     s = x0 * x0 + x1 * x1 + x2 * x2
     return (
         beta * x0 - x0 * (a1 * x0 * x0 + a2 * (s - x0 * x0)),
@@ -464,6 +462,79 @@ class ReducedTrajectory:
         return self.states[-1]
 
 
+def _rk4_2(y, beta, a1, a2, dt, steps, record_every, bound):
+    """The RK4 loop of `integrate_reduced` on two amplitudes, the field
+    written out at each stage: calls cost more than the arithmetic.  Each
+    stage keeps the operations of `_field` in their order and ``s`` sums the
+    squares of the amplitudes carried (the ``+0.0`` square of a mode absent
+    from the kernel or from the system leaves its bits as they are), so the
+    states are `_field`'s and numpy's to the bit.  The range test fails on NaN, on infinities and beyond
+    ``bound``."""
+    half, sixth, low = 0.5 * dt, dt / 6.0, -bound
+    u, v = y
+    times, states = [0.0], [y]
+    for n in range(1, steps + 1):
+        s = (p := u * u) + (q := v * v)
+        k1, l1 = (beta * u - u * (a1 * u * u + a2 * (s - p)),
+                  beta * v - v * (a1 * v * v + a2 * (s - q)))
+        x, z = u + half * k1, v + half * l1
+        s = (p := x * x) + (q := z * z)
+        k2, l2 = (beta * x - x * (a1 * x * x + a2 * (s - p)),
+                  beta * z - z * (a1 * z * z + a2 * (s - q)))
+        x, z = u + half * k2, v + half * l2
+        s = (p := x * x) + (q := z * z)
+        k3, l3 = (beta * x - x * (a1 * x * x + a2 * (s - p)),
+                  beta * z - z * (a1 * z * z + a2 * (s - q)))
+        x, z = u + dt * k3, v + dt * l3
+        s = (p := x * x) + (q := z * z)
+        k4, l4 = (beta * x - x * (a1 * x * x + a2 * (s - p)),
+                  beta * z - z * (a1 * z * z + a2 * (s - q)))
+        u = u + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+        v = v + sixth * (((l1 + 2.0 * l2) + 2.0 * l3) + l4)
+        if not (low <= u <= bound and low <= v <= bound):
+            return times, states, True
+        if n % record_every == 0 or n == steps:
+            times.append(n * dt)
+            states.append((u, v))
+    return times, states, False
+
+
+def _rk4_3(y, beta, a1, a2, dt, steps, record_every, bound):
+    """`_rk4_2` on three amplitudes."""
+    half, sixth, low = 0.5 * dt, dt / 6.0, -bound
+    u, v, w = y
+    times, states = [0.0], [y]
+    for n in range(1, steps + 1):
+        s = (p := u * u) + (q := v * v) + (r := w * w)
+        k1, l1, j1 = (beta * u - u * (a1 * u * u + a2 * (s - p)),
+                      beta * v - v * (a1 * v * v + a2 * (s - q)),
+                      beta * w - w * (a1 * w * w + a2 * (s - r)))
+        x, z, t = u + half * k1, v + half * l1, w + half * j1
+        s = (p := x * x) + (q := z * z) + (r := t * t)
+        k2, l2, j2 = (beta * x - x * (a1 * x * x + a2 * (s - p)),
+                      beta * z - z * (a1 * z * z + a2 * (s - q)),
+                      beta * t - t * (a1 * t * t + a2 * (s - r)))
+        x, z, t = u + half * k2, v + half * l2, w + half * j2
+        s = (p := x * x) + (q := z * z) + (r := t * t)
+        k3, l3, j3 = (beta * x - x * (a1 * x * x + a2 * (s - p)),
+                      beta * z - z * (a1 * z * z + a2 * (s - q)),
+                      beta * t - t * (a1 * t * t + a2 * (s - r)))
+        x, z, t = u + dt * k3, v + dt * l3, w + dt * j3
+        s = (p := x * x) + (q := z * z) + (r := t * t)
+        k4, l4, j4 = (beta * x - x * (a1 * x * x + a2 * (s - p)),
+                      beta * z - z * (a1 * z * z + a2 * (s - q)),
+                      beta * t - t * (a1 * t * t + a2 * (s - r)))
+        u = u + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+        v = v + sixth * (((l1 + 2.0 * l2) + 2.0 * l3) + l4)
+        w = w + sixth * (((j1 + 2.0 * j2) + 2.0 * j3) + j4)
+        if not (low <= u <= bound and low <= v <= bound and low <= w <= bound):
+            return times, states, True
+        if n % record_every == 0 or n == steps:
+            times.append(n * dt)
+            states.append((u, v, w))
+    return times, states, False
+
+
 def integrate_reduced(
     y0: ReducedState,
     p: PhysicalParams,
@@ -479,8 +550,8 @@ def integrate_reduced(
     Escape beyond ``blowup_norm`` stops the integration and is reported via
     the trajectory flag rather than raised: on the discontinuous-transition
     side orbits legitimately leave the local neighbourhood.  Raises
-    ``ValueError`` for a zero ``dt``, negative ``steps`` or ``record_every``
-    below 1.
+    ``ValueError`` for a zero ``dt``, negative ``steps``, ``record_every``
+    below 1, or a ``blowup_norm`` that is NaN or not positive.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero (negative integrates backward)")
@@ -488,45 +559,22 @@ def integrate_reduced(
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
+    if not blowup_norm > 0:
+        raise ValueError(f"blowup_norm must be positive, got {blowup_norm}")
     beta, a1, a2 = _reduced_coefficients(p, d, y0.m, y0.T, sigma_at)
     if abs(dt) * abs(beta) > 0.1:
         warnings.warn(
             f"dt*|beta| = {dt * abs(beta):.3g} exceeds the stability heuristic 0.1",
             stacklevel=2,
         )
-    beta, a1, a2, dt = float(beta), float(a1), float(a2), float(dt)
-    half, sixth = 0.5 * dt, dt / 6.0
-
-    # the loop runs on three floats, the absent modes at +0.0, with the
-    # operations of the array form y + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4) in
-    # the same order; a record keeps the first m
-    m = y0.m
-    y_0, y_1, y_2 = (*y0.y, 0.0, 0.0)[:3]
-    times = [0.0]
-    states = [y0.y]
-    escaped = False
-    for n in range(1, steps + 1):
-        k1_0, k1_1, k1_2 = _field(y_0, y_1, y_2, beta, a1, a2)
-        k2_0, k2_1, k2_2 = _field(
-            y_0 + half * k1_0, y_1 + half * k1_1, y_2 + half * k1_2, beta, a1, a2
-        )
-        k3_0, k3_1, k3_2 = _field(
-            y_0 + half * k2_0, y_1 + half * k2_1, y_2 + half * k2_2, beta, a1, a2
-        )
-        k4_0, k4_1, k4_2 = _field(
-            y_0 + dt * k3_0, y_1 + dt * k3_1, y_2 + dt * k3_2, beta, a1, a2
-        )
-        y_0 = y_0 + sixth * (((k1_0 + 2.0 * k2_0) + 2.0 * k3_0) + k4_0)
-        y_1 = y_1 + sixth * (((k1_1 + 2.0 * k2_1) + 2.0 * k3_1) + k4_1)
-        y_2 = y_2 + sixth * (((k1_2 + 2.0 * k2_2) + 2.0 * k3_2) + k4_2)
-        # an absent mode is non-finite only when a real one is too
-        finite = math.isfinite(y_0) and math.isfinite(y_1) and math.isfinite(y_2)
-        if not finite or max(abs(y_0), abs(y_1), abs(y_2)) > blowup_norm:
-            escaped = True
-            break
-        if n % record_every == 0 or n == steps:
-            times.append(n * dt)
-            states.append((y_0, y_1, y_2)[:m])
+    # a finite bound, so that the range test refuses an RK4 sum that
+    # overflows to an infinity from finite stages
+    bound = min(float(blowup_norm), sys.float_info.max)
+    # one mode runs on two, the absent one at +0.0 (see `_field`)
+    m, y = y0.m, (y0.y if y0.m > 1 else (*y0.y, 0.0))
+    times, states, escaped = (_rk4_3 if m == 3 else _rk4_2)(
+        y, float(beta), float(a1), float(a2), float(dt), steps, record_every, bound
+    )
     return ReducedTrajectory(
-        times=np.asarray(times), states=np.asarray(states), escaped=escaped
+        times=np.asarray(times), states=np.asarray(states)[:, :m], escaped=escaped
     )

@@ -73,3 +73,28 @@ def draw_case_params(rng: np.random.Generator, case: str):
 
 
 BOX_CASES = ("distinct", "two_equal", "all_equal", "near_tie", "tiny_tc")
+
+
+def array_field(y, beta, a1, a2):
+    s = float((y * y).sum())
+    return beta * y - y * (a1 * y * y + a2 * (s - y * y))
+
+
+def array_rk4(y0, beta, a1, a2, dt, steps, record_every, blowup_norm):
+    """RK4 of the reduced system on numpy arrays: the formulation the
+    float kernel must reproduce to the bit."""
+    y = np.asarray(y0, dtype=float)
+    times, states, escaped = [0.0], [y.copy()], False
+    for n in range(1, steps + 1):
+        k1 = array_field(y, beta, a1, a2)
+        k2 = array_field(y + 0.5 * dt * k1, beta, a1, a2)
+        k3 = array_field(y + 0.5 * dt * k2, beta, a1, a2)
+        k4 = array_field(y + dt * k3, beta, a1, a2)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)) or float(np.abs(y).max()) > blowup_norm:
+            escaped = True
+            break
+        if n % record_every == 0 or n == steps:
+            times.append(n * dt)
+            states.append(y.copy())
+    return np.asarray(times), np.asarray(states), escaped

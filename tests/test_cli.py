@@ -5,9 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chtransition import DomainSpec, PhysicalParams, classify_transition, critical_temperature
+from chtransition import (
+    DomainSpec,
+    PhysicalParams,
+    classify_transition,
+    critical_set,
+    critical_temperature,
+    cubic_coefficients,
+    growth_rate,
+)
 from chtransition.cli import _build_parser, _write_csv, main
 from chtransition.config import ConfigError, load_config
+
+from conftest import array_rk4
 
 BASE = """
 [physical]
@@ -355,6 +365,40 @@ class TestReduceCommand:
         assert rows[0] == "t,y_1_0_0"
         values = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
         assert np.abs(values[:, 1]).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "L2, L3, y0, physical, escaped",
+        [
+            ("2.0", "1.0", "0.01", {}, False),
+            ("3.141592653589793", "1.0", "0.02 -0.01", {}, False),
+            # a jump transition: the orbit leaves through the blow-up bound
+            ("3.141592653589793", "3.141592653589793", "0.02 0.01 -0.01",
+             {"gamma = 1.0": "gamma = 10.0", "ubar = 0.5": "ubar = 0.32", "T = 0.24": "T = 4.0"},
+             True),
+        ],
+    )
+    def test_rows_are_the_array_rk4_states(self, tmp_path, L2, L3, y0, physical, escaped):
+        # one box per multiplicity (m = 1, 2, 3)
+        text = BASE.replace("L2 = 2.0", f"L2 = {L2}").replace("L3 = 1.0", f"L3 = {L3}")
+        for key, value in physical.items():
+            text = text.replace(key, value)
+        text += f"\n[reduce]\ny0 = {y0}\ndt = 0.01\nsteps = 300\nrecord_every = 7\n"
+        path, out = _write(tmp_path, text), tmp_path / "out"
+        assert main(["reduce", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        cfg = load_config(path)
+        p, d = cfg.physical, cfg.domain
+        assert d.multiplicity == len(cfg.reduce.y0)
+        beta = growth_rate(critical_set(p, d).modes[0], cfg.T, p, d)
+        a1, a2 = cubic_coefficients(p, d, T=cfg.T)
+        times, states, esc = array_rk4(cfg.reduce.y0, beta, a1, a2, cfg.reduce.dt, 300, 7, 1e6)
+        assert esc is escaped
+        lines = (out / "reduced.csv").read_text().splitlines()
+        assert f"# escaped = {escaped}" in lines
+        rows = [line for line in lines if not line.startswith("#")][1:]
+        expected = [",".join("%.17g" % v for v in (t, *y)) for t, y in zip(times, states)]
+        assert rows == expected
+        full = 1 + math.ceil(300 / 7)
+        assert 1 < len(rows) < full if escaped else len(rows) == full
 
     def test_dimension_mismatch_is_config_error(self, tmp_path):
         text = BASE + "\n[reduce]\ny0 = 0.1 0.2\n"

@@ -497,6 +497,9 @@ class TestIntegration:
             ({"steps": 10, "record_every": 0}, "record_every"),
             ({"steps": 10, "record_every": -3}, "record_every"),
             ({"steps": -2}, "steps"),
+            ({"steps": 10, "blowup_norm": math.nan}, "blowup_norm"),
+            ({"steps": 10, "blowup_norm": 0.0}, "blowup_norm"),
+            ({"steps": 10, "blowup_norm": -1.0}, "blowup_norm"),
         ],
     )
     def test_bad_counts_rejected(self, kwargs, name):

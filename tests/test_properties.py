@@ -6,7 +6,7 @@ per-step tolerance and keeps the mass at exactly zero; the sigma pair and
 the discriminants obey their identities at the critical temperature for
 any parameters with a supercritical regime; the classifier's census
 rule agrees with direct enumeration of the equilibria on each box case;
-and the reduced system's float kernel gives numpy's array arithmetic to the
+and the reduced system's float kernels give numpy's array arithmetic to the
 bit.
 The examples are drawn deterministically (see the settings profile in
 ``conftest.py``).
@@ -41,6 +41,8 @@ from chtransition import (
     reduced_vector_field,
     transition_discriminants,
 )
+
+from conftest import array_field, array_rk4
 
 D = DomainSpec((math.pi, 2.0, 1.0))
 GRID = (8, 8, 8)
@@ -128,31 +130,6 @@ def test_census_rule_agrees_with_enumeration(case, R, gamma, alpha, ubar, l1, sh
     assert check.matches, check.mismatches
 
 
-def _array_field(y, beta, a1, a2):
-    s = float((y * y).sum())
-    return beta * y - y * (a1 * y * y + a2 * (s - y * y))
-
-
-def _array_rk4(y0, beta, a1, a2, dt, steps, record_every, blowup_norm):
-    """RK4 of the reduced system on numpy arrays: the formulation the
-    float kernel must reproduce to the bit."""
-    y = np.asarray(y0, dtype=float)
-    times, states, escaped = [0.0], [y.copy()], False
-    for n in range(1, steps + 1):
-        k1 = _array_field(y, beta, a1, a2)
-        k2 = _array_field(y + 0.5 * dt * k1, beta, a1, a2)
-        k3 = _array_field(y + 0.5 * dt * k2, beta, a1, a2)
-        k4 = _array_field(y + dt * k3, beta, a1, a2)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)) or float(np.abs(y).max()) > blowup_norm:
-            escaped = True
-            break
-        if n % record_every == 0 or n == steps:
-            times.append(n * dt)
-            states.append(y.copy())
-    return np.asarray(times), np.asarray(states), escaped
-
-
 @pytest.mark.parametrize("case", list(BOXES))
 @given(
     ubar=st.floats(0.05, 0.95),
@@ -172,6 +149,34 @@ def _array_rk4(y0, beta, a1, a2, dt, steps, record_every, blowup_norm):
 # squares overflow: the zeros that pad m < 3 meet inf and NaN
 @example(ubar=0.45, gamma=10.0, shape=(0.7, 0.5), quench=0.98, y0=[1e155, 1e155, 1e155],
          dt=0.05, steps=20, record_every=1, blowup_norm=math.inf, sigma_at="ambient")
+# the first stage overflows: the square of a negative amplitude (m = 1, 2, 3),
+# met by a live zero (m = 3)
+@example(ubar=0.45, gamma=10.0, shape=(0.7, 0.5), quench=0.98, y0=[-2e154, 1e154, 0.0],
+         dt=0.05, steps=20, record_every=1, blowup_norm=math.inf, sigma_at="ambient")
+# finite squares whose sum overflows (m = 2, 3), met by a live zero (m = 3)
+@example(ubar=0.45, gamma=10.0, shape=(0.7, 0.5), quench=0.98, y0=[1e154, 1e154, 0.0],
+         dt=0.05, steps=20, record_every=1, blowup_norm=math.inf, sigma_at="critical")
+# a live zero against an overflowing square (m = 2, 3)
+@example(ubar=0.45, gamma=10.0, shape=(0.7, 0.5), quench=0.98, y0=[0.0, 1e155, 0.2],
+         dt=0.05, steps=20, record_every=1, blowup_norm=math.inf, sigma_at="ambient")
+# finite stages whose RK4 sum overflows to -inf with no NaN: only the range
+# test's finite bound tells it from a finite state under blowup_norm = inf
+@example(ubar=0.45, gamma=10.0, shape=(0.7, 0.5), quench=0.98, y0=[1.8e102, -9e101, 7.2e101],
+         dt=1e-300, steps=3, record_every=1, blowup_norm=math.inf, sigma_at="ambient")
+# the cubic term large against the linear one, so the order of a1*y*y shows
+@example(ubar=0.493, gamma=11.96, shape=(0.7, 0.5), quench=0.843, y0=[0.364, -0.221, -0.053],
+         dt=0.05, steps=300, record_every=1, blowup_norm=1.0, sigma_at="critical")
+# an escape below -blowup_norm by the second (m = 2) and by the third (m = 3)
+# component alone
+@example(ubar=0.318, gamma=2.19, shape=(0.7, 0.5), quench=0.888, y0=[0.1, -0.348, 0.2],
+         dt=0.05, steps=300, record_every=1, blowup_norm=0.3, sigma_at="ambient")
+@example(ubar=0.318, gamma=2.19, shape=(0.7, 0.5), quench=0.888, y0=[0.1, 0.2, -0.419],
+         dt=0.05, steps=300, record_every=1, blowup_norm=0.3, sigma_at="ambient")
+# no step, and a record interval past the last step (only the last is kept)
+@example(ubar=0.3, gamma=5.0, shape=(0.7, 0.5), quench=0.9, y0=[0.1, -0.2, 0.3],
+         dt=0.05, steps=0, record_every=1, blowup_norm=1e6, sigma_at="ambient")
+@example(ubar=0.3, gamma=5.0, shape=(0.7, 0.5), quench=0.9, y0=[0.1, -0.2, 0.3],
+         dt=-0.02, steps=25, record_every=40, blowup_norm=1e6, sigma_at="critical")
 def test_reduced_kernel_matches_array_arithmetic(
     case, ubar, gamma, shape, quench, y0, dt, steps, record_every, blowup_norm, sigma_at
 ):
@@ -183,12 +188,12 @@ def test_reduced_kernel_matches_array_arithmetic(
     a1, a2 = cubic_coefficients(p, d, T=T if sigma_at == "ambient" else None)
 
     field = reduced_vector_field(state, p, d, sigma_at=sigma_at)
-    assert field.tobytes() == _array_field(np.asarray(state.y), beta, a1, a2).tobytes()
+    assert field.tobytes() == array_field(np.asarray(state.y), beta, a1, a2).tobytes()
 
     traj = integrate_reduced(state, p, d, dt, steps, sigma_at=sigma_at,
                              record_every=record_every, blowup_norm=blowup_norm)
-    times, states, escaped = _array_rk4(state.y, beta, a1, a2, dt, steps, record_every,
-                                        blowup_norm)
+    times, states, escaped = array_rk4(state.y, beta, a1, a2, dt, steps, record_every,
+                                       blowup_norm)
     assert traj.escaped == escaped
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.shape == states.shape

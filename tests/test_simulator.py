@@ -418,6 +418,8 @@ class TestSimulate:
         assert res.converged
         # the discrete steady amplitude sits within a few percent of the
         # leading-order law sqrt(4*R*(Tc-T)/(3*B1*ubar*(1-ubar))) = 0.2
+        assert res.final_state.projection((1, 0, 0)) == pytest.approx(0.2, rel=0.05)
+        # and so does the last time-stepped record, where the polish starts
         assert res.amplitudes[(1, 0, 0)][-1] == pytest.approx(0.2, rel=0.05)
 
     def test_steady_stop_lands_on_the_fixed_point(self):
